@@ -56,7 +56,9 @@ impl Default for OverloadMonitorConfig {
 }
 
 /// Accept/shed/retry telemetry with alerting, fed by the Selector layer
-/// (live or simulated).
+/// (live or simulated). Check-in outcomes are always recorded under
+/// their population (`record_*_for`); the aggregate series are the sum
+/// over every population.
 #[derive(Debug, Clone)]
 pub struct OverloadMetrics {
     config: OverloadMonitorConfig,
@@ -70,8 +72,8 @@ pub struct OverloadMetrics {
     report_rejects: TimeSeries,
     corrupt_frames: TimeSeries,
     monitor: DeviationMonitor,
-    /// Per-population accept/shed/retry series (multi-tenant Selector
-    /// layer); the aggregate series above always include these counts.
+    /// Per-population accept/shed/retry series; the aggregate series
+    /// above are their sums.
     by_population: BTreeMap<PopulationName, PopulationSeries>,
     /// Index of the bucket currently accumulating.
     open_bucket: usize,
@@ -156,22 +158,22 @@ impl OverloadMetrics {
         }
     }
 
-    /// Records an accepted check-in.
-    pub fn record_accept(&mut self, now_ms: u64) {
+    /// Counts an accepted check-in in the aggregate series.
+    fn record_accept(&mut self, now_ms: u64) {
         self.roll(now_ms);
         self.accepts.increment(now_ms);
         self.open_accepts += 1;
     }
 
-    /// Records a shed (admission-rejected) check-in.
-    pub fn record_shed(&mut self, now_ms: u64) {
+    /// Counts a shed (admission-rejected) check-in in the aggregate series.
+    fn record_shed(&mut self, now_ms: u64) {
         self.roll(now_ms);
         self.sheds.increment(now_ms);
         self.open_sheds += 1;
     }
 
-    /// Records a device-side retry attempt.
-    pub fn record_retry(&mut self, now_ms: u64) {
+    /// Counts a device-side retry attempt in the aggregate series.
+    fn record_retry(&mut self, now_ms: u64) {
         self.roll(now_ms);
         self.retries.increment(now_ms);
     }

@@ -12,9 +12,14 @@
 //! [`Selector::forward_devices_for`] every `DRAIN_EVERY` arrivals so
 //! the accept path (pace loop → token bucket → per-population quota →
 //! global fair-share budget → insert) dominates and the held set stays
-//! bounded. The legacy single-tenant [`Selector::on_checkin`] path is
-//! measured under the same discipline as the baseline, so the JSON
-//! shows what the PopulationName threading costs per check-in.
+//! bounded. The one-population case is the baseline: a single-tenant
+//! deployment is the n=1 case of the same path.
+//!
+//! Every case is warmed up once, then measured in `REPETITIONS`
+//! interleaved passes (case order rotates within each pass) and reported
+//! as the median. The in-run gate: the 8-population median must stay
+//! within `MAX_RATIO` of the 1-population median, so per-population
+//! bookkeeping cannot grow with the tenant count unnoticed.
 
 use fl_core::{DeviceId, PopulationName};
 use fl_server::pace::PaceSteering;
@@ -22,17 +27,19 @@ use fl_server::selector::{CheckinDecision, Selector};
 use fl_server::shedding::{AdmissionConfig, GlobalAdmissionBudget, GlobalAdmissionConfig};
 use std::time::Instant;
 
-/// Drain cadence: bounds the held set (and thus the per-arrival
-/// population-filter scans) so the bench measures admission, not
-/// eviction pathology.
+/// Drain cadence: bounds the held set so the bench measures admission,
+/// not eviction pathology.
 const DRAIN_EVERY: u32 = 512;
-
-struct Case {
-    populations: usize,
-    iters: u32,
-    checkin_ns: f64,
-    accept_fraction: f64,
-}
+/// Check-ins per measured pass.
+const ITERS: u32 = 200_000;
+/// Check-ins in each case's warm-up pass.
+const WARMUP: u32 = 20_000;
+/// Measured passes per case; the median is reported.
+const REPETITIONS: usize = 5;
+/// Population counts measured; the first is the baseline.
+const POPULATIONS: [usize; 3] = [1, 2, 8];
+/// Gate: 8-population median / 1-population median must not exceed this.
+const MAX_RATIO: f64 = 2.0;
 
 /// Builds a Selector tuned so nothing sheds: the token bucket refills
 /// far faster than arrivals, the queue bound and quotas sit well above
@@ -54,19 +61,18 @@ fn build_selector(pops: &[PopulationName]) -> Selector {
             max_inflight: 1 << 20,
         })
         .with_global_budget(budget);
-    selector.set_quota(DRAIN_EVERY as usize * 4);
     for pop in pops {
         selector.set_population_quota(pop.clone(), DRAIN_EVERY as usize * 4);
     }
     selector
 }
 
-fn bench_multi(populations: usize, iters: u32) -> Case {
+/// One pass over `iters` check-ins: (ns per check-in, accepted fraction).
+fn run(populations: usize, iters: u32) -> (f64, f64) {
     let pops: Vec<PopulationName> = (0..populations)
         .map(|i| PopulationName::new(format!("bench/pop{i}")))
         .collect();
     let mut selector = build_selector(&pops);
-
     let mut accepted = 0u64;
     let start = Instant::now();
     for i in 0..iters {
@@ -84,94 +90,60 @@ fn bench_multi(populations: usize, iters: u32) -> Case {
         }
     }
     let checkin_ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-    Case {
-        populations,
-        iters,
-        checkin_ns,
-        accept_fraction: accepted as f64 / f64::from(iters),
-    }
+    (checkin_ns, accepted as f64 / f64::from(iters))
 }
 
-/// The pre-multi-tenant path under the same drain discipline: the
-/// baseline the per-population bookkeeping is compared against.
-fn bench_legacy(iters: u32) -> Case {
-    let mut selector = build_selector(&[]);
-    let mut accepted = 0u64;
-    let start = Instant::now();
-    for i in 0..iters {
-        let now_ms = 1 + u64::from(i);
-        if let CheckinDecision::Accept = selector.on_checkin(DeviceId(u64::from(i)), now_ms, 1.0) {
-            accepted += 1;
-        }
-        if i % DRAIN_EVERY == DRAIN_EVERY - 1 {
-            let _ = selector.forward_devices_at(DRAIN_EVERY as usize, now_ms);
-        }
-    }
-    let checkin_ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-    Case {
-        populations: 0,
-        iters,
-        checkin_ns,
-        accept_fraction: accepted as f64 / f64::from(iters),
-    }
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 fn main() {
-    const ITERS: u32 = 200_000;
-    const WARMUP: u32 = 10_000;
-
-    // One warm-up pass per shape, then the measured pass — same
-    // discipline as bench_wire.
-    let _ = bench_legacy(WARMUP);
-    let legacy = bench_legacy(ITERS);
-    println!(
-        "on_checkin      (single-tenant): {:>7.1} ns/check-in, {:>5.1}% accepted",
-        legacy.checkin_ns,
-        legacy.accept_fraction * 100.0
-    );
-    assert!(
-        legacy.accept_fraction > 0.99,
-        "bench must measure the accept path, not shedding"
-    );
-
-    let cases: Vec<Case> = [1usize, 2, 8]
-        .iter()
-        .map(|&populations| {
-            let _ = bench_multi(populations, WARMUP);
-            let case = bench_multi(populations, ITERS);
-            println!(
-                "on_checkin_for ({populations} population{}): {:>7.1} ns/check-in, {:>5.1}% accepted ({:+.1} ns vs legacy)",
-                if populations == 1 { " " } else { "s" },
-                case.checkin_ns,
-                case.accept_fraction * 100.0,
-                case.checkin_ns - legacy.checkin_ns
-            );
+    for populations in POPULATIONS {
+        let _ = run(populations, WARMUP);
+    }
+    let mut samples = vec![Vec::with_capacity(REPETITIONS); POPULATIONS.len()];
+    for rep in 0..REPETITIONS {
+        for k in 0..POPULATIONS.len() {
+            let case = (rep + k) % POPULATIONS.len();
+            let (checkin_ns, accept_fraction) = run(POPULATIONS[case], ITERS);
             assert!(
-                case.accept_fraction > 0.99,
+                accept_fraction > 0.99,
                 "bench must measure the accept path, not shedding"
             );
-            case
-        })
-        .collect();
+            samples[case].push(checkin_ns);
+        }
+    }
+    let medians: Vec<f64> = samples.iter().map(|s| median(s)).collect();
+    let baseline = medians[0];
+    for (populations, m) in POPULATIONS.iter().zip(&medians) {
+        println!(
+            "on_checkin_for ({populations} population{}): {m:>7.1} ns/check-in \
+             (median of {REPETITIONS}), {:.2}x the 1-population case",
+            if *populations == 1 { " " } else { "s" },
+            m / baseline
+        );
+    }
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"selector_checkin\",\n");
     json.push_str(&format!("  \"drain_every\": {DRAIN_EVERY},\n"));
+    json.push_str(&format!("  \"iters\": {ITERS},\n"));
+    json.push_str(&format!("  \"repetitions\": {REPETITIONS},\n"));
     json.push_str(&format!(
-        "  \"legacy_single_tenant\": {{\"iters\": {}, \"checkin_ns\": {:.1}, \"accept_fraction\": {:.4}}},\n",
-        legacy.iters, legacy.checkin_ns, legacy.accept_fraction
+        "  \"gate\": {{\"populations\": 8, \"max_ratio_vs_1_population\": {MAX_RATIO:.1}}},\n"
     ));
     json.push_str("  \"cases\": [\n");
-    for (i, c) in cases.iter().enumerate() {
+    for (i, populations) in POPULATIONS.iter().enumerate() {
+        let reps: Vec<String> = samples[i].iter().map(|s| format!("{s:.1}")).collect();
         json.push_str(&format!(
-            "    {{\"populations\": {}, \"iters\": {}, \"checkin_ns\": {:.1}, \
-             \"accept_fraction\": {:.4}, \"overhead_vs_legacy_ns\": {:.1}}}{}\n",
-            c.populations,
-            c.iters,
-            c.checkin_ns,
-            c.accept_fraction,
-            c.checkin_ns - legacy.checkin_ns,
-            if i + 1 == cases.len() { "" } else { "," }
+            "    {{\"populations\": {populations}, \"median_ns\": {:.1}, \"samples_ns\": [{}], \
+             \"ratio_vs_1_population\": {:.2}}}{}\n",
+            medians[i],
+            reps.join(", "),
+            medians[i] / baseline,
+            if i + 1 == POPULATIONS.len() { "" } else { "," }
         ));
     }
     json.push_str("  ]\n}\n");
@@ -180,4 +152,10 @@ fn main() {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_selector.json");
     std::fs::write(out, &json).expect("write BENCH_selector.json");
     println!("wrote {out}");
+
+    let ratio = medians[POPULATIONS.len() - 1] / baseline;
+    assert!(
+        ratio <= MAX_RATIO,
+        "8-population check-in costs {ratio:.2}x the 1-population case (gate {MAX_RATIO}x)"
+    );
 }

@@ -79,7 +79,7 @@ pub use shedding::{
     GlobalAdmissionConfig, PaceController, PaceControllerConfig, ShedReason,
 };
 pub use topology::{
-    spawn_topology, DeploymentSpec, LiveTopology, SelectorSpec, TopologyBlueprint,
+    spawn_multi_topology, DeploymentSpec, MultiTopology, SelectorSpec, TopologyBlueprint,
 };
 pub use storage::{
     CheckpointStore, FaultyCheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore,

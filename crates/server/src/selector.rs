@@ -8,6 +8,12 @@
 //! Coordinator instructs the Selectors to forward a subset of its
 //! connected devices to the Aggregators."
 //!
+//! Every check-in and every drain names its population; a Selector
+//! serving one population is simply the n=1 case. Populations are
+//! interned into a dense per-Selector table the first time they are seen,
+//! so the hot path never clones a [`PopulationName`] and a population's
+//! held count is a field read, not a scan of the held set.
+//!
 //! Selection among connected devices uses reservoir sampling, per the
 //! paper's footnote 1 ("selection is done by simple reservoir sampling").
 //!
@@ -26,6 +32,7 @@ use crate::shedding::{
 use fl_core::{DeviceId, PopulationName};
 use fl_ml::rng;
 use rand::rngs::StdRng;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Decision returned to a checking-in device.
@@ -40,15 +47,26 @@ pub enum CheckinDecision {
     },
 }
 
-/// A held device connection: when it was last seen, and (on the
-/// multi-tenant path) which population it checked in under.
+/// A held device connection: when it was last seen and the dense index
+/// of the population it checked in under.
 #[derive(Debug, Clone)]
 struct HeldConn {
     last_seen_ms: u64,
-    /// Population the device checked in under. `None` on the legacy
-    /// single-population path, which predates multi-tenancy and keeps
-    /// its exact behavior as the n=1 special case.
-    population: Option<PopulationName>,
+    pop: usize,
+}
+
+/// One population's row of the Selector's state table.
+#[derive(Debug, Default)]
+struct PopState {
+    /// Per-population quota override; `None` falls back to the
+    /// Selector-wide quota.
+    quota: Option<usize>,
+    /// Devices of this population currently held.
+    held: usize,
+    accepted: u64,
+    /// Rejections, shed check-ins included.
+    rejected: u64,
+    shed: u64,
 }
 
 /// A Selector: accepts or rejects device check-ins against a quota and an
@@ -66,12 +84,14 @@ struct HeldConn {
 /// [`GlobalAdmissionBudget`]'s per-population reservations.
 #[derive(Debug)]
 pub struct Selector {
-    /// Default quota of devices this selector may hold, set by the
-    /// Coordinator; populations without an explicit per-population quota
-    /// fall back to it.
+    /// Default quota of devices this selector may hold per population,
+    /// set by the Coordinator; populations without an explicit
+    /// per-population quota fall back to it.
     quota: usize,
-    /// Per-population quota overrides for the multi-tenant path.
-    population_quotas: BTreeMap<PopulationName, usize>,
+    /// Population name → dense index into `pops`.
+    pop_index: BTreeMap<PopulationName, usize>,
+    /// Per-population state, indexed by interning order.
+    pops: Vec<PopState>,
     /// Held connections with their last-seen times and populations.
     connected: BTreeMap<DeviceId, HeldConn>,
     /// Held connections idle longer than this are considered disconnected
@@ -90,11 +110,6 @@ pub struct Selector {
     shed_total: u64,
     shed_global_total: u64,
     evicted_total: u64,
-    /// Per-population accepted/rejected/shed counters (multi-tenant path
-    /// only; the legacy path counts solely in the aggregate totals).
-    accepted_by_pop: BTreeMap<PopulationName, u64>,
-    rejected_by_pop: BTreeMap<PopulationName, u64>,
-    shed_by_pop: BTreeMap<PopulationName, u64>,
     rng: StdRng,
 }
 
@@ -107,7 +122,8 @@ impl Selector {
         let controller_config = PaceControllerConfig::for_pace(&pace);
         Selector {
             quota: 0,
-            population_quotas: BTreeMap::new(),
+            pop_index: BTreeMap::new(),
+            pops: Vec::new(),
             connected: BTreeMap::new(),
             stale_after_ms: None,
             pace: PaceController::new(pace, population_estimate, controller_config),
@@ -118,9 +134,6 @@ impl Selector {
             shed_total: 0,
             shed_global_total: 0,
             evicted_total: 0,
-            accepted_by_pop: BTreeMap::new(),
-            rejected_by_pop: BTreeMap::new(),
-            shed_by_pop: BTreeMap::new(),
             rng: rng::seeded(seed),
         }
     }
@@ -149,9 +162,9 @@ impl Selector {
         self
     }
 
-    /// Coordinator instruction: how many devices to hold. On the
-    /// multi-tenant path this is the fallback for populations without an
-    /// explicit [`set_population_quota`](Selector::set_population_quota).
+    /// Coordinator instruction: how many devices to hold for each
+    /// population without an explicit
+    /// [`set_population_quota`](Selector::set_population_quota).
     pub fn set_quota(&mut self, quota: usize) {
         self.quota = quota;
     }
@@ -160,7 +173,8 @@ impl Selector {
     /// `population` to hold. Each population's quota is independent — one
     /// tenant filling its slots never blocks another's accepts.
     pub fn set_population_quota(&mut self, population: PopulationName, quota: usize) {
-        self.population_quotas.insert(population, quota);
+        let pop = self.intern(&population);
+        self.pops[pop].quota = Some(quota);
     }
 
     /// Seeds/overrides the population-size estimate used for pace
@@ -180,24 +194,51 @@ impl Selector {
         self.admission.as_ref()
     }
 
+    /// The dense index of `population`, interning it on first sight.
+    fn intern(&mut self, population: &PopulationName) -> usize {
+        if let Some(&pop) = self.pop_index.get(population) {
+            return pop;
+        }
+        let pop = self.pops.len();
+        self.pops.push(PopState::default());
+        self.pop_index.insert(population.clone(), pop);
+        pop
+    }
+
+    fn state(&self, population: &PopulationName) -> Option<&PopState> {
+        self.pop_index.get(population).map(|&pop| &self.pops[pop])
+    }
+
     /// Drops held connections not seen since `now_ms − stale_after_ms`.
     /// Returns how many were evicted. No-op when eviction is disabled.
     pub fn evict_stale(&mut self, now_ms: u64) -> usize {
         let Some(ttl) = self.stale_after_ms else {
             return 0;
         };
+        let pops = &mut self.pops;
         let before = self.connected.len();
-        self.connected
-            .retain(|_, held| now_ms.saturating_sub(held.last_seen_ms) < ttl);
+        self.connected.retain(|_, held| {
+            let fresh = now_ms.saturating_sub(held.last_seen_ms) < ttl;
+            if !fresh {
+                pops[held.pop].held -= 1;
+            }
+            fresh
+        });
         let evicted = before - self.connected.len();
         self.evicted_total += evicted as u64;
         evicted
     }
 
-    /// Handles a device check-in at `now_ms` with the given diurnal
-    /// activity factor.
-    pub fn on_checkin(
+    /// Handles a device check-in for `population` at `now_ms` with the
+    /// given diurnal activity factor (Sec. 2.1). The arrival feeds the
+    /// shared pace loop and local admission controller like any other,
+    /// but quota is checked against the population's own allowance and
+    /// the shared global budget is consulted through its per-population
+    /// fair-share reservations ([`GlobalAdmissionBudget::try_admit_for`]),
+    /// so a flash crowd in one population cannot starve another's accepts.
+    pub fn on_checkin_for(
         &mut self,
+        population: &PopulationName,
         device: DeviceId,
         now_ms: u64,
         activity_factor: f64,
@@ -207,110 +248,59 @@ impl Selector {
         // Evict ghosts before they count against quota or the queue bound
         // (mirror of the selection pool's fresh-length fix).
         self.evict_stale(now_ms);
+        let pop = self.intern(population);
 
         if let Some(admission) = &mut self.admission {
             if let AdmissionDecision::Shed(_) = admission.offer(now_ms, self.connected.len()) {
                 self.shed_total += 1;
-                return self.reject(now_ms, activity_factor);
+                self.pops[pop].shed += 1;
+                return self.reject(pop, now_ms, activity_factor);
             }
         }
 
-        if self.connected.len() < self.quota && !self.connected.contains_key(&device) {
-            if let Some(budget) = &self.global {
-                if !budget.try_admit(now_ms) {
-                    self.shed_total += 1;
-                    self.shed_global_total += 1;
-                    return self.reject(now_ms, activity_factor);
-                }
-            }
-            self.connected.insert(
-                device,
-                HeldConn {
-                    last_seen_ms: now_ms,
-                    population: None,
-                },
-            );
-            self.accepted_total += 1;
-            CheckinDecision::Accept
-        } else {
+        let state = &self.pops[pop];
+        let has_room = state.held < state.quota.unwrap_or(self.quota);
+        match self.connected.entry(device) {
             // A duplicate check-in still proves the device is alive.
-            if let Some(held) = self.connected.get_mut(&device) {
-                held.last_seen_ms = now_ms;
+            Entry::Occupied(mut held) => held.get_mut().last_seen_ms = now_ms,
+            Entry::Vacant(slot) if has_room => {
+                if self
+                    .global
+                    .as_ref()
+                    .is_none_or(|budget| budget.try_admit_for(now_ms, population))
+                {
+                    slot.insert(HeldConn {
+                        last_seen_ms: now_ms,
+                        pop,
+                    });
+                    let state = &mut self.pops[pop];
+                    state.held += 1;
+                    state.accepted += 1;
+                    self.accepted_total += 1;
+                    return CheckinDecision::Accept;
+                }
+                self.shed_total += 1;
+                self.shed_global_total += 1;
+                self.pops[pop].shed += 1;
             }
-            self.reject(now_ms, activity_factor)
+            Entry::Vacant(_) => {}
         }
+        self.reject(pop, now_ms, activity_factor)
     }
 
-    /// Handles a device check-in for a specific population at `now_ms`
-    /// (the multi-tenant path; Sec. 2.1). The arrival feeds the shared
-    /// pace loop and local admission controller like any other, but quota
-    /// is checked against the population's own allowance and the shared
-    /// global budget is consulted through its per-population fair-share
-    /// reservations ([`GlobalAdmissionBudget::try_admit_for`]), so a
-    /// flash crowd in one population cannot starve another's accepts.
-    pub fn on_checkin_for(
-        &mut self,
-        population: &PopulationName,
-        device: DeviceId,
-        now_ms: u64,
-        activity_factor: f64,
-    ) -> CheckinDecision {
+    /// Answers a check-in for a population this Selector's tree does not
+    /// serve: a pace-steered rejection counted against `population`. The
+    /// arrival feeds the pace loop, but admission, quota and the global
+    /// budget are never consulted, so unserved traffic cannot spend
+    /// capacity that served populations own.
+    pub fn reject_unserved(&mut self, population: &PopulationName, now_ms: u64) -> CheckinDecision {
         self.pace.on_arrival(now_ms);
-        self.evict_stale(now_ms);
-
-        if let Some(admission) = &mut self.admission {
-            if let AdmissionDecision::Shed(_) = admission.offer(now_ms, self.connected.len()) {
-                self.shed_total += 1;
-                *self.shed_by_pop.entry(population.clone()).or_insert(0) += 1;
-                return self.reject_for(population, now_ms, activity_factor);
-            }
-        }
-
-        let quota = self
-            .population_quotas
-            .get(population)
-            .copied()
-            .unwrap_or(self.quota);
-        let held_for_pop = self.connected_count_for(population);
-        if held_for_pop < quota && !self.connected.contains_key(&device) {
-            if let Some(budget) = &self.global {
-                if !budget.try_admit_for(now_ms, population) {
-                    self.shed_total += 1;
-                    self.shed_global_total += 1;
-                    *self.shed_by_pop.entry(population.clone()).or_insert(0) += 1;
-                    return self.reject_for(population, now_ms, activity_factor);
-                }
-            }
-            self.connected.insert(
-                device,
-                HeldConn {
-                    last_seen_ms: now_ms,
-                    population: Some(population.clone()),
-                },
-            );
-            self.accepted_total += 1;
-            *self.accepted_by_pop.entry(population.clone()).or_insert(0) += 1;
-            CheckinDecision::Accept
-        } else {
-            // A duplicate check-in still proves the device is alive.
-            if let Some(held) = self.connected.get_mut(&device) {
-                held.last_seen_ms = now_ms;
-            }
-            self.reject_for(population, now_ms, activity_factor)
-        }
+        let pop = self.intern(population);
+        self.reject(pop, now_ms, 1.0)
     }
 
-    fn reject_for(
-        &mut self,
-        population: &PopulationName,
-        now_ms: u64,
-        activity_factor: f64,
-    ) -> CheckinDecision {
-        *self.rejected_by_pop.entry(population.clone()).or_insert(0) += 1;
-        self.reject(now_ms, activity_factor)
-    }
-
-    fn reject(&mut self, now_ms: u64, activity_factor: f64) -> CheckinDecision {
+    fn reject(&mut self, pop: usize, now_ms: u64, activity_factor: f64) -> CheckinDecision {
+        self.pops[pop].rejected += 1;
         self.rejected_total += 1;
         CheckinDecision::Reject {
             retry_at_ms: self
@@ -321,7 +311,9 @@ impl Selector {
 
     /// A connected device disconnected (eligibility change, network loss).
     pub fn on_disconnect(&mut self, device: DeviceId) {
-        self.connected.remove(&device);
+        if let Some(held) = self.connected.remove(&device) {
+            self.pops[held.pop].held -= 1;
+        }
     }
 
     /// Number of devices currently connected (reported to the
@@ -334,10 +326,7 @@ impl Selector {
 
     /// Number of held devices that checked in under `population`.
     pub fn connected_count_for(&self, population: &PopulationName) -> usize {
-        self.connected
-            .values()
-            .filter(|held| held.population.as_ref() == Some(population))
-            .count()
+        self.state(population).map_or(0, |s| s.held)
     }
 
     /// Total accepted/rejected counters (for analytics). Rejections
@@ -346,20 +335,17 @@ impl Selector {
         (self.accepted_total, self.rejected_total)
     }
 
-    /// Per-population accepted/rejected counters (multi-tenant path).
-    /// Rejections include shed check-ins, mirroring
-    /// [`counters`](Selector::counters).
+    /// Per-population accepted/rejected counters. Rejections include shed
+    /// check-ins, mirroring [`counters`](Selector::counters).
     pub fn counters_for(&self, population: &PopulationName) -> (u64, u64) {
-        (
-            self.accepted_by_pop.get(population).copied().unwrap_or(0),
-            self.rejected_by_pop.get(population).copied().unwrap_or(0),
-        )
+        self.state(population)
+            .map_or((0, 0), |s| (s.accepted, s.rejected))
     }
 
     /// Check-ins shed (admission controller or global budget) while
     /// checking in under `population`.
     pub fn shed_total_for(&self, population: &PopulationName) -> u64 {
-        self.shed_by_pop.get(population).copied().unwrap_or(0)
+        self.state(population).map_or(0, |s| s.shed)
     }
 
     /// Total check-ins shed by the admission controller or the global
@@ -383,27 +369,12 @@ impl Selector {
         self.evicted_total
     }
 
-    /// Coordinator instruction: forward up to `k` connected devices to the
-    /// Aggregator layer. Stale connections are evicted first (forwarding a
-    /// ghost wastes an Aggregator slot); the forwarded devices are sampled
-    /// uniformly (reservoir sampling) and removed from this selector's
-    /// connected set.
-    pub fn forward_devices_at(&mut self, k: usize, now_ms: u64) -> Vec<DeviceId> {
-        self.evict_stale(now_ms);
-        self.forward_devices(k)
-    }
-
-    /// [`forward_devices_at`](Selector::forward_devices_at) without a
-    /// clock: no staleness eviction is performed first.
-    pub fn forward_devices(&mut self, k: usize) -> Vec<DeviceId> {
-        let pool: Vec<DeviceId> = self.connected.keys().copied().collect();
-        self.sample_and_remove(pool, k)
-    }
-
-    /// Coordinator instruction on the multi-tenant path: forward up to
-    /// `k` devices held for `population` only. Stale connections are
-    /// evicted first; sampling is uniform (reservoir) within the
-    /// population's held set, so tenants never receive each other's
+    /// Coordinator instruction: forward up to `k` devices held for
+    /// `population` to the Aggregator layer. Stale connections are
+    /// evicted first (forwarding a ghost wastes an Aggregator slot); the
+    /// forwarded devices are sampled uniformly (reservoir sampling) within
+    /// the population's held set, in device order, and removed from this
+    /// selector's connected set — so tenants never receive each other's
     /// devices.
     pub fn forward_devices_for(
         &mut self,
@@ -412,21 +383,23 @@ impl Selector {
         now_ms: u64,
     ) -> Vec<DeviceId> {
         self.evict_stale(now_ms);
-        let pool: Vec<DeviceId> = self
-            .connected
-            .iter()
-            .filter(|(_, held)| held.population.as_ref() == Some(population))
-            .map(|(d, _)| *d)
-            .collect();
-        self.sample_and_remove(pool, k)
-    }
-
-    fn sample_and_remove(&mut self, pool: Vec<DeviceId>, k: usize) -> Vec<DeviceId> {
-        if pool.is_empty() || k == 0 {
+        let Some(&pop) = self.pop_index.get(population) else {
+            return Vec::new();
+        };
+        let held = self.pops[pop].held;
+        if held == 0 || k == 0 {
             return Vec::new();
         }
+        let mut pool = Vec::with_capacity(held);
+        pool.extend(
+            self.connected
+                .iter()
+                .filter(|(_, conn)| conn.pop == pop)
+                .map(|(d, _)| *d),
+        );
         let take = k.min(pool.len());
         let picked = rng::reservoir_sample(&mut self.rng, pool.len(), take);
+        self.pops[pop].held -= take;
         let mut out = Vec::with_capacity(take);
         for idx in picked {
             let d = pool[idx];
@@ -442,22 +415,32 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    fn pop() -> PopulationName {
+        PopulationName::new("test/pop")
+    }
+
     fn selector(quota: usize) -> Selector {
         let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 42);
         s.set_quota(quota);
         s
     }
 
+    /// A check-in of `device` under the single test population.
+    fn checkin(s: &mut Selector, device: u64, now_ms: u64) -> CheckinDecision {
+        s.on_checkin_for(&pop(), DeviceId(device), now_ms, 1.0)
+    }
+
+    fn forward(s: &mut Selector, k: usize, now_ms: u64) -> Vec<DeviceId> {
+        s.forward_devices_for(&pop(), k, now_ms)
+    }
+
     #[test]
     fn accepts_up_to_quota_then_rejects() {
         let mut s = selector(3);
         for i in 0..3 {
-            assert_eq!(
-                s.on_checkin(DeviceId(i), 1000, 1.0),
-                CheckinDecision::Accept
-            );
+            assert_eq!(checkin(&mut s, i, 1000), CheckinDecision::Accept);
         }
-        match s.on_checkin(DeviceId(99), 1000, 1.0) {
+        match checkin(&mut s, 99, 1000) {
             CheckinDecision::Reject { retry_at_ms } => assert!(retry_at_ms > 1000),
             other => panic!("expected rejection, got {other:?}"),
         }
@@ -468,29 +451,26 @@ mod tests {
     #[test]
     fn duplicate_checkin_is_rejected() {
         let mut s = selector(5);
-        assert_eq!(s.on_checkin(DeviceId(1), 0, 1.0), CheckinDecision::Accept);
-        assert!(matches!(
-            s.on_checkin(DeviceId(1), 0, 1.0),
-            CheckinDecision::Reject { .. }
-        ));
+        assert_eq!(checkin(&mut s, 1, 0), CheckinDecision::Accept);
+        assert!(matches!(checkin(&mut s, 1, 0), CheckinDecision::Reject { .. }));
         assert_eq!(s.connected_count(), 1);
     }
 
     #[test]
     fn disconnect_frees_capacity() {
         let mut s = selector(1);
-        assert_eq!(s.on_checkin(DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(checkin(&mut s, 1, 0), CheckinDecision::Accept);
         s.on_disconnect(DeviceId(1));
-        assert_eq!(s.on_checkin(DeviceId(2), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(checkin(&mut s, 2, 0), CheckinDecision::Accept);
     }
 
     #[test]
     fn forward_removes_and_returns_distinct_devices() {
         let mut s = selector(10);
         for i in 0..10 {
-            s.on_checkin(DeviceId(i), 0, 1.0);
+            checkin(&mut s, i, 0);
         }
-        let forwarded = s.forward_devices(4);
+        let forwarded = forward(&mut s, 4, 0);
         assert_eq!(forwarded.len(), 4);
         assert_eq!(s.connected_count(), 6);
         let set: BTreeSet<DeviceId> = forwarded.iter().copied().collect();
@@ -501,11 +481,11 @@ mod tests {
     fn forward_caps_at_connected_count() {
         let mut s = selector(3);
         for i in 0..3 {
-            s.on_checkin(DeviceId(i), 0, 1.0);
+            checkin(&mut s, i, 0);
         }
-        assert_eq!(s.forward_devices(100).len(), 3);
+        assert_eq!(forward(&mut s, 100, 0).len(), 3);
         assert_eq!(s.connected_count(), 0);
-        assert!(s.forward_devices(1).is_empty());
+        assert!(forward(&mut s, 1, 0).is_empty());
     }
 
     #[test]
@@ -516,9 +496,9 @@ mod tests {
             let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, trial);
             s.set_quota(10);
             for i in 0..10 {
-                s.on_checkin(DeviceId(i), 0, 1.0);
+                checkin(&mut s, i, 0);
             }
-            let f = s.forward_devices(1);
+            let f = forward(&mut s, 1, 0);
             wins[f[0].0 as usize] += 1;
         }
         for (i, &w) in wins.iter().enumerate() {
@@ -532,10 +512,7 @@ mod tests {
     #[test]
     fn zero_quota_rejects_everything() {
         let mut s = selector(0);
-        assert!(matches!(
-            s.on_checkin(DeviceId(0), 0, 1.0),
-            CheckinDecision::Reject { .. }
-        ));
+        assert!(matches!(checkin(&mut s, 0, 0), CheckinDecision::Reject { .. }));
     }
 
     #[test]
@@ -546,17 +523,14 @@ mod tests {
         let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 7)
             .with_staleness(120_000);
         s.set_quota(1);
-        assert_eq!(s.on_checkin(DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(checkin(&mut s, 1, 0), CheckinDecision::Accept);
         // Before the TTL expires the ghost still holds the slot.
         assert!(matches!(
-            s.on_checkin(DeviceId(2), 100_000, 1.0),
+            checkin(&mut s, 2, 100_000),
             CheckinDecision::Reject { .. }
         ));
         // After the TTL the ghost is evicted and the slot is free again.
-        assert_eq!(
-            s.on_checkin(DeviceId(2), 130_000, 1.0),
-            CheckinDecision::Accept
-        );
+        assert_eq!(checkin(&mut s, 2, 130_000), CheckinDecision::Accept);
         assert_eq!(s.evicted_total(), 1);
         assert_eq!(s.connected_count(), 1);
     }
@@ -566,32 +540,32 @@ mod tests {
         let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 7)
             .with_staleness(100_000);
         s.set_quota(1);
-        assert_eq!(s.on_checkin(DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(checkin(&mut s, 1, 0), CheckinDecision::Accept);
         // The device re-checks in at 90 s (still rejected as a duplicate,
         // but its liveness clock resets)...
         assert!(matches!(
-            s.on_checkin(DeviceId(1), 90_000, 1.0),
+            checkin(&mut s, 1, 90_000),
             CheckinDecision::Reject { .. }
         ));
         // ...so at 150 s it has NOT gone stale (last seen 90 s ago).
         assert!(matches!(
-            s.on_checkin(DeviceId(2), 150_000, 1.0),
+            checkin(&mut s, 2, 150_000),
             CheckinDecision::Reject { .. }
         ));
         assert_eq!(s.evicted_total(), 0);
     }
 
     #[test]
-    fn forward_at_skips_stale_devices() {
+    fn forward_skips_stale_devices() {
         let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 9)
             .with_staleness(60_000);
         s.set_quota(4);
-        s.on_checkin(DeviceId(1), 0, 1.0);
-        s.on_checkin(DeviceId(2), 0, 1.0);
-        s.on_checkin(DeviceId(3), 50_000, 1.0);
-        s.on_checkin(DeviceId(4), 50_000, 1.0);
+        checkin(&mut s, 1, 0);
+        checkin(&mut s, 2, 0);
+        checkin(&mut s, 3, 50_000);
+        checkin(&mut s, 4, 50_000);
         // At t=70s devices 1 and 2 are stale; only 3 and 4 may forward.
-        let forwarded = s.forward_devices_at(10, 70_000);
+        let forwarded = forward(&mut s, 10, 70_000);
         let set: BTreeSet<DeviceId> = forwarded.into_iter().collect();
         assert_eq!(set, BTreeSet::from([DeviceId(3), DeviceId(4)]));
         assert_eq!(s.evicted_total(), 2);
@@ -611,7 +585,7 @@ mod tests {
         };
         let mut s = make();
         let decisions: Vec<bool> = (0..100)
-            .map(|i| s.on_checkin(DeviceId(i), 0, 1.0) == CheckinDecision::Accept)
+            .map(|i| checkin(&mut s, i, 0) == CheckinDecision::Accept)
             .collect();
         // Exactly the burst is admitted; the rest shed.
         assert_eq!(decisions.iter().filter(|&&a| a).count(), 5);
@@ -620,7 +594,7 @@ mod tests {
         // Determinism: a fresh selector replays the same decisions.
         let mut s2 = make();
         let replay: Vec<bool> = (0..100)
-            .map(|i| s2.on_checkin(DeviceId(i), 0, 1.0) == CheckinDecision::Accept)
+            .map(|i| checkin(&mut s2, i, 0) == CheckinDecision::Accept)
             .collect();
         assert_eq!(decisions, replay);
     }
@@ -635,7 +609,7 @@ mod tests {
             });
         s.set_quota(1_000);
         for i in 0..50 {
-            s.on_checkin(DeviceId(i), 0, 1.0);
+            checkin(&mut s, i, 0);
         }
         assert_eq!(s.connected_count(), 4);
         let (_, queue_sheds) = s
@@ -665,7 +639,7 @@ mod tests {
         let mut accepted = 0;
         for (i, s) in selectors.iter_mut().enumerate() {
             for d in 0..3u64 {
-                if s.on_checkin(DeviceId(i as u64 * 10 + d), 0, 1.0) == CheckinDecision::Accept {
+                if checkin(s, i as u64 * 10 + d, 0) == CheckinDecision::Accept {
                     accepted += 1;
                 }
             }
@@ -678,9 +652,8 @@ mod tests {
         // A locally-rejected duplicate must not burn a global slot: next
         // window, re-offering an already-connected device is a plain
         // rejection with the budget untouched.
-        let d0 = DeviceId(0);
         assert!(matches!(
-            selectors[0].on_checkin(d0, 61_000, 1.0),
+            checkin(&mut selectors[0], 0, 61_000),
             CheckinDecision::Reject { .. }
         ));
         assert_eq!(budget.admitted_total() + budget.shed_total(), 9);
@@ -701,7 +674,7 @@ mod tests {
         let mut late_max = 0;
         for i in 0..5_000u64 {
             let now = i * 2; // 500 arrivals/s against a 5/s accept cap
-            if let CheckinDecision::Reject { retry_at_ms } = s.on_checkin(DeviceId(i), now, 1.0) {
+            if let CheckinDecision::Reject { retry_at_ms } = checkin(&mut s, i, now) {
                 let delay = retry_at_ms - now;
                 if i < 100 {
                     early_max = early_max.max(delay);
@@ -716,7 +689,6 @@ mod tests {
         );
         assert!(s.pace_controller().population_estimate() > 1_000);
     }
-
     #[test]
     fn populations_are_demultiplexed_with_independent_quotas() {
         let pop_a = PopulationName::new("tenant/a");
@@ -806,5 +778,105 @@ mod tests {
             );
         }
         assert_eq!(s.counters_for(&steady), (3, 0));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        const TTL_MS: u64 = 4_000;
+
+        /// Drops the model's stale devices; returns how many.
+        fn evict(held: &mut BTreeMap<DeviceId, (usize, u64)>, now_ms: u64) -> usize {
+            let before = held.len();
+            held.retain(|_, (_, seen)| now_ms.saturating_sub(*seen) < TTL_MS);
+            before - held.len()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Under any interleaving of check-ins, drains, disconnects and
+            /// evictions across 1–4 populations, the per-population held
+            /// counts match the held devices (a model tracks them) and sum
+            /// to the connected count, and every offered check-in is
+            /// counted exactly once, per population and in aggregate.
+            #[test]
+            fn held_counts_and_counters_stay_conserved(
+                populations in 1usize..5,
+                quotas in proptest::collection::vec(0usize..6, 4..5),
+                seed in 0u64..1_000,
+                ops in proptest::collection::vec(0u32..(1 << 20), 1..160),
+            ) {
+                let names: Vec<PopulationName> = (0..populations)
+                    .map(|p| PopulationName::new(format!("prop/{p}")))
+                    .collect();
+                let mut s = Selector::new(PaceSteering::new(1_000, 10), 100, seed)
+                    .with_staleness(TTL_MS)
+                    .with_admission(AdmissionConfig {
+                        accepts_per_sec: 2.0,
+                        burst: 4,
+                        max_inflight: 12,
+                    });
+                s.set_quota(3);
+                // The first population keeps the Selector-wide fallback.
+                for (p, name) in names.iter().enumerate().skip(1) {
+                    s.set_population_quota(name.clone(), quotas[p]);
+                }
+                // Model: held device → (population, last seen).
+                let mut held = BTreeMap::new();
+                let mut offered = vec![0u64; populations];
+                let mut now = 0u64;
+                for op in ops {
+                    let p = (op >> 2) as usize % populations;
+                    let device = DeviceId(u64::from((op >> 5) % 24));
+                    now += u64::from((op >> 10) % 1_500);
+                    match op % 4 {
+                        0 => {
+                            offered[p] += 1;
+                            evict(&mut held, now);
+                            let shed_before = s.shed_total();
+                            let decision = s.on_checkin_for(&names[p], device, now, 1.0);
+                            if decision == CheckinDecision::Accept {
+                                prop_assert!(held.insert(device, (p, now)).is_none());
+                            } else if s.shed_total() == shed_before {
+                                // A duplicate past admission refreshes its liveness.
+                                if let Some(h) = held.get_mut(&device) {
+                                    h.1 = now;
+                                }
+                            }
+                        }
+                        1 => {
+                            evict(&mut held, now);
+                            let k = (op >> 5) as usize % 6;
+                            let of_p = held.values().filter(|(q, _)| *q == p).count();
+                            let forwarded = s.forward_devices_for(&names[p], k, now);
+                            prop_assert_eq!(forwarded.len(), k.min(of_p));
+                            for d in forwarded {
+                                prop_assert_eq!(held.remove(&d).map(|(q, _)| q), Some(p));
+                            }
+                        }
+                        2 => {
+                            s.on_disconnect(device);
+                            held.remove(&device);
+                        }
+                        _ => prop_assert_eq!(s.evict_stale(now), evict(&mut held, now)),
+                    }
+                    let (mut held_sum, mut accepted, mut rejected) = (0, 0, 0);
+                    for (p, name) in names.iter().enumerate() {
+                        let of_p = held.values().filter(|(q, _)| *q == p).count();
+                        prop_assert_eq!(s.connected_count_for(name), of_p);
+                        held_sum += of_p;
+                        let (a, r) = s.counters_for(name);
+                        prop_assert_eq!(a + r, offered[p]);
+                        accepted += a;
+                        rejected += r;
+                    }
+                    prop_assert_eq!(s.connected_count(), held_sum);
+                    prop_assert_eq!(s.connected_count(), held.len());
+                    prop_assert_eq!(s.counters(), (accepted, rejected));
+                }
+            }
+        }
     }
 }

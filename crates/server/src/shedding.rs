@@ -22,7 +22,7 @@
 use crate::pace::{PaceSteering, SMALL_POPULATION};
 use fl_core::PopulationName;
 use fl_ml::metrics::MetricSummary;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Why a check-in was shed rather than considered for admission.
@@ -206,6 +206,18 @@ impl GlobalAdmissionConfig {
     }
 }
 
+/// One population's row of the global budget.
+#[derive(Debug, Clone, Copy, Default)]
+struct PopBudget {
+    /// Admissions in the *current* window (zeroed on window roll) — the
+    /// fair-share accounting.
+    in_window: u64,
+    /// Lifetime admissions.
+    admitted_total: u64,
+    /// Lifetime global-budget sheds.
+    shed_total: u64,
+}
+
 #[derive(Debug)]
 struct GlobalBudgetState {
     config: GlobalAdmissionConfig,
@@ -215,14 +227,7 @@ struct GlobalBudgetState {
     shed_total: u64,
     /// Populations contending on this budget (registered explicitly by
     /// the topology or lazily on first [`GlobalAdmissionBudget::try_admit_for`]).
-    registered: BTreeSet<PopulationName>,
-    /// Admissions per population in the *current* window (cleared on
-    /// window roll) — the fair-share accounting.
-    admitted_by_pop: BTreeMap<PopulationName, u64>,
-    /// Lifetime admissions per population.
-    admitted_total_by_pop: BTreeMap<PopulationName, u64>,
-    /// Lifetime global-budget sheds per population.
-    shed_total_by_pop: BTreeMap<PopulationName, u64>,
+    pops: BTreeMap<PopulationName, PopBudget>,
 }
 
 impl GlobalBudgetState {
@@ -234,8 +239,14 @@ impl GlobalBudgetState {
             let windows = elapsed / self.config.window_ms;
             self.window_start_ms += windows * self.config.window_ms;
             self.admitted_in_window = 0;
-            self.admitted_by_pop.clear();
+            for pop in self.pops.values_mut() {
+                pop.in_window = 0;
+            }
         }
+    }
+
+    fn pop(&self, population: &PopulationName) -> PopBudget {
+        self.pops.get(population).copied().unwrap_or_default()
     }
 }
 
@@ -277,10 +288,7 @@ impl GlobalAdmissionBudget {
                 admitted_in_window: 0,
                 admitted_total: 0,
                 shed_total: 0,
-                registered: BTreeSet::new(),
-                admitted_by_pop: BTreeMap::new(),
-                admitted_total_by_pop: BTreeMap::new(),
-                shed_total_by_pop: BTreeMap::new(),
+                pops: BTreeMap::new(),
             })),
         }
     }
@@ -290,34 +298,12 @@ impl GlobalAdmissionBudget {
         self.inner.lock().config
     }
 
-    /// Tries to take one admission slot at `now_ms`, with no population
-    /// attribution — the single-tenant path. Returns `false` — shed with
-    /// [`ShedReason::GlobalBudget`] — when the current window's budget is
-    /// spent. Population-less admissions consume window budget but never
-    /// touch the fair-share reservations, so an n=1 topology behaves
-    /// exactly as it did before multi-tenancy existed.
-    pub fn try_admit(&self, now_ms: u64) -> bool {
-        let mut s = self.inner.lock();
-        s.roll(now_ms);
-        if s.admitted_in_window < s.config.max_admits_per_window {
-            s.admitted_in_window += 1;
-            s.admitted_total += 1;
-            true
-        } else {
-            s.shed_total += 1;
-            false
-        }
-    }
-
     /// Pre-declares a population contending on this budget, so its
     /// fair-share slots are reserved from the first window — before its
     /// first check-in ever arrives. The topology registers every
     /// population it spawns a Coordinator for.
     pub fn register_population(&self, population: &PopulationName) {
-        self.inner
-            .lock()
-            .registered
-            .insert(population.clone());
+        self.inner.lock().pops.entry(population.clone()).or_default();
     }
 
     /// Tries to take one admission slot at `now_ms` on behalf of
@@ -329,38 +315,41 @@ impl GlobalAdmissionBudget {
     /// cannot starve a steady one — the steady population's share stays
     /// held for it all window — while an idle population's slots (beyond
     /// the reservation) are not wasted. A population seen here for the
-    /// first time is registered automatically.
+    /// first time is registered automatically. With one population the
+    /// fair share is the whole window, so the predicate reduces to
+    /// "budget left in this window".
     pub fn try_admit_for(&self, now_ms: u64, population: &PopulationName) -> bool {
-        let mut s = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let s = &mut *guard;
         s.roll(now_ms);
-        if !s.registered.contains(population) {
-            s.registered.insert(population.clone());
-        }
         let max = s.config.max_admits_per_window;
-        let fair = (max / s.registered.len() as u64).max(1);
-        let mine = s.admitted_by_pop.get(population).copied().unwrap_or(0);
-        // Slots still owed to the *other* populations' reservations.
-        let others_reserved: u64 = s
-            .registered
-            .iter()
-            .filter(|p| *p != population)
-            .map(|p| fair.saturating_sub(s.admitted_by_pop.get(p).copied().unwrap_or(0)))
-            .sum();
-        let admit = s.admitted_in_window < max
-            && (mine < fair || s.admitted_in_window + others_reserved < max);
-        if admit {
-            s.admitted_in_window += 1;
-            s.admitted_total += 1;
-            *s.admitted_by_pop.entry(population.clone()).or_insert(0) += 1;
-            *s
-                .admitted_total_by_pop
-                .entry(population.clone())
-                .or_insert(0) += 1;
-            true
-        } else {
-            s.shed_total += 1;
-            *s.shed_total_by_pop.entry(population.clone()).or_insert(0) += 1;
-            false
+        loop {
+            let fair = (max / s.pops.len().max(1) as u64).max(1);
+            // Slots still owed to every reservation.
+            let reserved: u64 = s
+                .pops
+                .values()
+                .map(|p| fair.saturating_sub(p.in_window))
+                .sum();
+            let Some(mine) = s.pops.get_mut(population) else {
+                // First sight: register, then decide under the new share.
+                s.pops.insert(population.clone(), PopBudget::default());
+                continue;
+            };
+            // Slots still owed to the *other* populations' reservations.
+            let others_reserved = reserved - fair.saturating_sub(mine.in_window);
+            let admit = s.admitted_in_window < max
+                && (mine.in_window < fair || s.admitted_in_window + others_reserved < max);
+            if admit {
+                mine.in_window += 1;
+                mine.admitted_total += 1;
+                s.admitted_in_window += 1;
+                s.admitted_total += 1;
+            } else {
+                mine.shed_total += 1;
+                s.shed_total += 1;
+            }
+            return admit;
         }
     }
 
@@ -376,27 +365,17 @@ impl GlobalAdmissionBudget {
 
     /// Lifetime admissions attributed to `population`.
     pub fn admitted_total_for(&self, population: &PopulationName) -> u64 {
-        self.inner
-            .lock()
-            .admitted_total_by_pop
-            .get(population)
-            .copied()
-            .unwrap_or(0)
+        self.inner.lock().pop(population).admitted_total
     }
 
     /// Lifetime global-budget sheds attributed to `population`.
     pub fn shed_total_for(&self, population: &PopulationName) -> u64 {
-        self.inner
-            .lock()
-            .shed_total_by_pop
-            .get(population)
-            .copied()
-            .unwrap_or(0)
+        self.inner.lock().pop(population).shed_total
     }
 
     /// The populations currently contending on this budget.
     pub fn registered_populations(&self) -> Vec<PopulationName> {
-        self.inner.lock().registered.iter().cloned().collect()
+        self.inner.lock().pops.keys().cloned().collect()
     }
 }
 
@@ -803,14 +782,15 @@ mod tests {
             max_admits_per_window: 3,
         });
         let clone = budget.clone();
+        let pop = PopulationName::new("budget/pop");
         // Clones share the same window budget.
-        assert!(budget.try_admit(0));
-        assert!(clone.try_admit(10));
-        assert!(budget.try_admit(20));
-        assert!(!clone.try_admit(30));
-        assert!(!budget.try_admit(999));
+        assert!(budget.try_admit_for(0, &pop));
+        assert!(clone.try_admit_for(10, &pop));
+        assert!(budget.try_admit_for(20, &pop));
+        assert!(!clone.try_admit_for(30, &pop));
+        assert!(!budget.try_admit_for(999, &pop));
         // Next window refills; empty windows carry nothing forward.
-        assert!(budget.try_admit(5_500));
+        assert!(budget.try_admit_for(5_500, &pop));
         assert_eq!(budget.admitted_total(), 4);
         assert_eq!(clone.shed_total(), 2);
     }

@@ -1,16 +1,16 @@
 //! Shared construction of the paper's server tree (Fig. 3 / Sec. 4.1):
 //! N Selectors — each with its own pace controller, admission controller,
 //! and quota, optionally sharing one fleet-wide
-//! [`GlobalAdmissionBudget`] — fanning devices into one Coordinator whose
-//! training rounds aggregate through an ephemeral Master Aggregator
-//! subtree.
+//! [`GlobalAdmissionBudget`] — fanning devices into one Coordinator per
+//! population, whose training rounds aggregate through an ephemeral
+//! Master Aggregator subtree. A single-population deployment is the n=1
+//! case of [`spawn_multi_topology`].
 //!
-//! Three harnesses build this tree: the live threaded topology
-//! ([`spawn_topology`]), the chaos harness (`fl-sim::chaos`, virtual
-//! clock), and the overload harness (`fl-sim::overload`, virtual clock).
-//! They used to hand-roll the wiring independently; the blueprint types
-//! here are the single source of truth, so a selector knob added for one
-//! harness exists in all of them.
+//! Several harnesses build this tree: the live threaded topology
+//! ([`spawn_multi_topology`]), the chaos harness (`fl-sim::chaos`,
+//! virtual clock), and the overload harness (`fl-sim::overload`, virtual
+//! clock). The blueprint types here are the single source of truth, so a
+//! selector knob added for one harness exists in all of them.
 
 use crate::coordinator::{Coordinator, CoordinatorConfig};
 use crate::live::{CoordinatorActor, CoordMsg, SelectorActor, SelectorMsg, SharedOverloadMetrics};
@@ -165,89 +165,15 @@ impl TopologyBlueprint {
 
     /// Builds the Selector layer, every Selector wired to `budget` when
     /// present. Virtual-clock harnesses drive these directly; the live
-    /// topology wraps them in [`SelectorActor`]s via [`spawn_topology`].
+    /// topology wraps them in [`SelectorActor`]s via
+    /// [`spawn_multi_topology`].
     pub fn build_selectors(&self, budget: Option<&GlobalAdmissionBudget>) -> Vec<Selector> {
         self.selectors.iter().map(|s| s.build(budget)).collect()
     }
 }
 
-/// Handles to a spawned live tree.
-#[derive(Debug)]
-pub struct LiveTopology {
-    /// The Selector actors, in blueprint order.
-    pub selectors: Vec<ActorRef<SelectorMsg>>,
-    /// The Coordinator actor.
-    pub coordinator: ActorRef<CoordMsg>,
-    /// The shared admission budget, when the blueprint configured one —
-    /// hold it to observe fleet-wide admit/shed totals.
-    pub global_budget: Option<GlobalAdmissionBudget>,
-    /// Shared overload telemetry, when the blueprint configured it.
-    pub telemetry: Option<SharedOverloadMetrics>,
-}
-
-impl LiveTopology {
-    /// Asks every actor in the tree to stop. Idempotent send-or-ignore:
-    /// an actor that already stopped (or crashed) has a dead mailbox, and
-    /// a second `shutdown()` — or one racing an actor's own exit — must
-    /// be a no-op, not a panic. Callers that used to `.send(..).unwrap()`
-    /// each handle individually turned benign teardown races into test
-    /// flakes.
-    pub fn shutdown(&self) {
-        for s in &self.selectors {
-            let _ = s.send(SelectorMsg::Shutdown);
-        }
-        let _ = self.coordinator.send(CoordMsg::Shutdown);
-    }
-}
-
-/// Spawns the live tree described by `blueprint` around an already-built
-/// [`CoordinatorActor`]: the coordinator under the name `"coordinator"`,
-/// one `"selector-<i>"` per spec, all sharing the blueprint's global
-/// budget and telemetry. Master Aggregator subtrees are *not* spawned
-/// here — the coordinator spawns one per training round and it dies with
-/// the round (Sec. 4.1).
-pub fn spawn_topology<S: CheckpointStore + Send + 'static>(
-    system: &ActorSystem,
-    coordinator: CoordinatorActor<S>,
-    blueprint: &TopologyBlueprint,
-) -> LiveTopology {
-    let budget = blueprint.build_global_budget();
-    let telemetry: Option<SharedOverloadMetrics> = blueprint.telemetry.map(|config| {
-        Arc::new(fl_race::Mutex::new(
-            crate::live::OVERLOAD_METRICS,
-            OverloadMetrics::new(config, 0),
-        ))
-    });
-    let coordinator = match &telemetry {
-        // The coordinator shares the same metric sink as the Selectors so
-        // SecAgg shard aborts land next to the admission telemetry.
-        Some(telemetry) => coordinator.with_telemetry(telemetry.clone()),
-        None => coordinator,
-    };
-    let coord_ref = system.spawn("coordinator", coordinator);
-    let selectors = blueprint
-        .build_selectors(budget.as_ref())
-        .into_iter()
-        .enumerate()
-        .map(|(i, selector)| {
-            let mut actor = SelectorActor::new(selector, coord_ref.clone());
-            if let Some(telemetry) = &telemetry {
-                actor = actor.with_telemetry(telemetry.clone());
-            }
-            system.spawn(format!("selector-{i}"), actor)
-        })
-        .collect();
-    LiveTopology {
-        selectors,
-        coordinator: coord_ref,
-        global_budget: budget,
-        telemetry,
-    }
-}
-
-/// Handles to a spawned multi-tenant live tree: one Coordinator per
-/// population, every Selector routing check-ins by the wire-carried
-/// [`PopulationName`].
+/// Handles to a spawned live tree: one Coordinator per population, every
+/// Selector routing check-ins by the wire-carried [`PopulationName`].
 #[derive(Debug)]
 pub struct MultiTopology {
     /// The Selector actors, in blueprint order.
@@ -269,8 +195,10 @@ impl MultiTopology {
         self.coordinators.get(population)
     }
 
-    /// Asks every actor in the tree to stop. Idempotent send-or-ignore
-    /// like [`LiveTopology::shutdown`].
+    /// Asks every actor in the tree to stop. Idempotent send-or-ignore:
+    /// an actor that already stopped (or crashed) has a dead mailbox, and
+    /// a second `shutdown()` — or one racing an actor's own exit — must
+    /// be a no-op, not a panic.
     pub fn shutdown(&self) {
         for s in &self.selectors {
             let _ = s.send(SelectorMsg::Shutdown);
@@ -281,30 +209,24 @@ impl MultiTopology {
     }
 }
 
-/// Spawns the multi-tenant live tree (Sec. 2.1/4.2: "Each population of
-/// devices corresponds to a different learning problem" and "The
-/// Coordinators are the top-level actors, one per population"): one
+/// Spawns the live tree (Sec. 2.1/4.2: "Each population of devices
+/// corresponds to a different learning problem" and "The Coordinators are
+/// the top-level actors, one per population"): one
 /// `"coordinator-<population>"` actor per entry — each already holding
 /// its own lease on the shared locking service — plus the blueprint's
 /// `"selector-<i>"` layer, with every Selector routing check-ins to the
 /// owning population's Coordinator and holding that population against
-/// the paired per-selector quota. All populations are registered on the
-/// blueprint's shared [`GlobalAdmissionBudget`], so cross-population
-/// admission fairness is in force from the first check-in.
-///
-/// # Panics
-///
-/// Panics when `coordinators` is empty: a tree with no population has no
-/// default route.
+/// the paired per-selector quota. Check-ins for a population no entry
+/// serves are answered with a pace-steered `ComeBackLater`. All
+/// populations are registered on the blueprint's shared
+/// [`GlobalAdmissionBudget`], so cross-population admission fairness is
+/// in force from the first check-in. A single-population tree is one
+/// `(coordinator, quota)` entry.
 pub fn spawn_multi_topology<S: CheckpointStore + Send + 'static>(
     system: &ActorSystem,
     coordinators: Vec<(CoordinatorActor<S>, usize)>,
     blueprint: &TopologyBlueprint,
 ) -> MultiTopology {
-    assert!(
-        !coordinators.is_empty(),
-        "multi-tenant topology needs at least one population coordinator"
-    );
     let budget = blueprint.build_global_budget();
     let telemetry: Option<SharedOverloadMetrics> = blueprint.telemetry.map(|config| {
         Arc::new(fl_race::Mutex::new(
@@ -319,6 +241,8 @@ pub fn spawn_multi_topology<S: CheckpointStore + Send + 'static>(
         if let Some(budget) = &budget {
             budget.register_population(&population);
         }
+        // The coordinator shares the Selectors' metric sink so SecAgg
+        // shard aborts land next to the admission telemetry.
         let actor = match &telemetry {
             Some(telemetry) => actor.with_telemetry(telemetry.clone()),
             None => actor,
@@ -327,27 +251,12 @@ pub fn spawn_multi_topology<S: CheckpointStore + Send + 'static>(
         coord_refs.insert(population.clone(), coord_ref);
         quotas.push((population, quota));
     }
-    // Deterministic default route (first population in name order); every
-    // known population has an explicit route, so the default only catches
-    // check-ins for populations this tree does not serve.
-    let default_route = match coord_refs.values().next() {
-        Some(route) => route.clone(),
-        // Unreachable: the entry assert guarantees one coordinator.
-        None => {
-            return MultiTopology {
-                selectors: Vec::new(),
-                coordinators: coord_refs,
-                global_budget: budget,
-                telemetry,
-            }
-        }
-    };
     let selectors = blueprint
         .build_selectors(budget.as_ref())
         .into_iter()
         .enumerate()
         .map(|(i, selector)| {
-            let mut actor = SelectorActor::new(selector, default_route.clone());
+            let mut actor = SelectorActor::new(selector);
             for (population, quota) in &quotas {
                 actor = actor.with_route(
                     population.clone(),
@@ -390,10 +299,11 @@ mod tests {
         let budget = blueprint.build_global_budget();
         let mut selectors = blueprint.build_selectors(budget.as_ref());
         assert_eq!(selectors.len(), 3);
+        let population = PopulationName::new("pop-blueprint");
         // 9 would-be accepts across three selectors, one shared window of 5.
         for (i, s) in selectors.iter_mut().enumerate() {
             for d in 0..3u64 {
-                s.on_checkin(fl_core::DeviceId(i as u64 * 10 + d), 1, 1.0);
+                s.on_checkin_for(&population, fl_core::DeviceId(i as u64 * 10 + d), 1, 1.0);
             }
         }
         let budget = budget.unwrap();

@@ -692,7 +692,10 @@ impl Harness<'_> {
         }
         // The check-in crosses the wire as a framed request; the server
         // side acts only on what it decoded.
-        let Some(WireMessage::CheckinRequest { device: wired, .. }) = self.wire_uplink(
+        let Some(WireMessage::CheckinRequest {
+            device: wired,
+            population,
+        }) = self.wire_uplink(
             now,
             &WireMessage::CheckinRequest {
                 device: DeviceId(device),
@@ -706,13 +709,12 @@ impl Harness<'_> {
         // sim hands the device straight to the round, so the held slot
         // is released immediately after the admission decision.
         let selector = &mut self.selectors[(wired.0 % self.config.selectors) as usize];
-        match selector.on_checkin(wired, now, 1.0) {
+        match selector.on_checkin_for(&population, wired, now, 1.0) {
             CheckinDecision::Accept => selector.on_disconnect(wired),
             CheckinDecision::Reject { retry_at_ms } => {
-                let _ = self.server_wire.send(&WireMessage::ComeBackLater {
-                    retry_at_ms,
-                    population: PopulationName::new(POPULATION),
-                });
+                let _ = self
+                    .server_wire
+                    .send(&WireMessage::ComeBackLater { retry_at_ms, population });
                 self.drain_downlink();
                 self.pool.add(wired, now);
                 return;

@@ -31,8 +31,8 @@
 //!
 //! With a single population and no disturbance the harness degenerates
 //! to the single-tenant shape: the per-population series *are* the
-//! aggregate (asserted by the conservation invariant), mirroring how the
-//! live `SelectorActor` keeps n=1 routing byte-identical.
+//! aggregate (asserted by the conservation invariant), mirroring how a
+//! single-population live tree is the n=1 case of the routed topology.
 
 use crate::des::EventQueue;
 use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};

@@ -44,7 +44,7 @@ use fl_server::coordinator::CoordinatorConfig;
 use fl_server::live::{coordinator_lease_name, CoordMsg, CoordinatorActor, SelectorMsg};
 use fl_server::pace::PaceSteering;
 use fl_server::storage::{CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore};
-use fl_server::topology::{spawn_topology, SelectorSpec, TopologyBlueprint};
+use fl_server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
 use fl_server::wire::{
     self, ChannelTransport, FaultScript, FaultStats, FaultyTransport, FrameFault, Transport,
     WireError, WireMessage,
@@ -511,9 +511,10 @@ fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosR
         SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 1, 10),
     ])
     .with_telemetry(OverloadMonitorConfig::default());
-    let topology = spawn_topology(&system, coordinator, &blueprint);
+    let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
     let telemetry = topology.telemetry.clone();
-    let (selector_refs, coord_ref) = (topology.selectors, topology.coordinator);
+    let coord_ref = topology.coordinators[&PopulationName::new(POPULATION)].clone();
+    let selector_refs = topology.selectors;
 
     let handles: Vec<_> = (0..DEVICES)
         .map(|i| {

@@ -622,7 +622,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
     // schedules the resulting wake.
     macro_rules! handle_rejection {
         ($dev:expr, $now:expr, $server_at:expr) => {{
-            metrics.record_retry($now);
+            metrics.record_retry_for(&population, $now);
             let decision =
                 devices[$dev as usize]
                     .mgr
@@ -660,11 +660,11 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
                 };
                 let selector = &mut selectors[(wired.0 % n) as usize];
                 let shed_before = selector.shed_total();
-                match selector.on_checkin(wired, now, activity) {
+                match selector.on_checkin_for(&population, wired, now, activity) {
                     CheckinDecision::Accept => {
                         // Accepted connections are held open (no reply
                         // frame until the Coordinator forwards them).
-                        metrics.record_accept(now);
+                        metrics.record_accept_for(&population, now);
                         devices[device as usize].phase = DevPhase::Held;
                         devices[device as usize].mgr.on_success(now);
                         max_queue_depth = max_queue_depth.max(selector.connected_count());
@@ -676,7 +676,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
                     CheckinDecision::Reject { retry_at_ms } => {
                         let shed = selector.shed_total() > shed_before;
                         if shed {
-                            metrics.record_shed(now);
+                            metrics.record_shed_for(&population, now);
                             wire_downlink!(&WireMessage::Shed {
                                 retry_at_ms,
                                 population: population.clone(),
@@ -702,7 +702,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
                         if need == 0 {
                             break;
                         }
-                        let forwarded = selectors[s].forward_devices_at(need, now);
+                        let forwarded = selectors[s].forward_devices_for(&population, need, now);
                         need = need.saturating_sub(forwarded.len());
                         for d in forwarded {
                             match active.state.on_checkin(d, now) {

@@ -3,11 +3,11 @@
 //! current round or restarting from the results of the previously
 //! committed round."
 
-use federated::actors::{ActorSystem, FaultAction, LockingService, ScriptedFaults};
+use federated::actors::{ActorRef, ActorSystem, FaultAction, LockingService, ScriptedFaults};
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
-use federated::core::{DeviceId, RoundId};
+use federated::core::{DeviceId, PopulationName, RoundId};
 use federated::server::coordinator::{Coordinator, CoordinatorConfig};
 use federated::server::live::{
     coordinator_lease_name, watch_and_respawn, CoordMsg, CoordinatorActor, DeviceConn,
@@ -18,7 +18,7 @@ use federated::server::pace::PaceSteering;
 use federated::server::storage::{
     CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore,
 };
-use federated::server::topology::{spawn_topology, SelectorSpec, TopologyBlueprint};
+use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
 use crossbeam::channel::unbounded;
 use std::sync::Arc;
 use std::time::Duration;
@@ -357,82 +357,105 @@ fn actor_panic_is_isolated() {
 /// over only the replacement coordinator's `ActorRef`, so a selector kept
 /// the quota and population estimate of the *dead* incarnation — a
 /// selector at quota 0 stayed wedged rejecting forever, and its reconnect
-/// suggestions were sized from a stale population. The struct variant now
-/// re-delivers both alongside the new ref.
+/// suggestions were sized from a stale population. It later moved only a
+/// default route and a fallback quota, so in a multi-population tree the
+/// rewired population kept forwarding to the corpse and its own quota
+/// hid the re-delivered one. `Rewire` now names its population: that
+/// population's route and quota move, every other population's stay.
 #[test]
 fn rewire_redelivers_quota_and_population_estimate() {
     let system = ActorSystem::new();
     let locks: LockingService<String> = LockingService::new();
-    let task = FlTask::training("t", "pop-rewire").with_round(quick_round(1));
-    let plan = FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity);
-    let coordinator = CoordinatorActor::new(
-        CoordinatorConfig::new("pop-rewire", 13),
-        TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
-        vec![plan],
-        vec![0.0; spec().num_params()],
-        locks,
+    let coordinator = |population: &str, goal: usize| {
+        let task = FlTask::training("t", population).with_round(quick_round(goal));
+        CoordinatorActor::new(
+            CoordinatorConfig::new(population, 13),
+            TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
+            vec![FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity)],
+            vec![0.0; spec().num_params()],
+            locks.clone(),
+        )
+    };
+    let blueprint =
+        TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 3, 0)]);
+    // "pop-rewire" starts at quota 0: everything is rejected until a
+    // Rewire raises it. "pop-other" holds one slot and configures its
+    // round once two devices have checked in.
+    let topology = spawn_multi_topology(
+        &system,
+        vec![
+            (coordinator("pop-rewire", 1), 0),
+            (coordinator("pop-other", 2), 1),
+        ],
+        &blueprint,
     );
-    // Quota 0: everything is rejected until a Rewire raises it.
-    let blueprint = TopologyBlueprint::new(vec![SelectorSpec::new(
-        PaceSteering::new(1_000, 10),
-        100,
-        3,
-        0,
-    )]);
-    let topology = spawn_topology(&system, coordinator, &blueprint);
-    let (selector, coord_ref) = (topology.selectors[0].clone(), topology.coordinator);
-
-    let checkin = |device: u64| {
-        let conn = DeviceConn::connect(
-            DeviceId(device),
-            "pop-rewire",
-            selector.clone(),
-            coord_ref.clone(),
-        );
+    let selector = topology.selectors[0].clone();
+    let (original, other) = (
+        topology.coordinators[&PopulationName::new("pop-rewire")].clone(),
+        topology.coordinators[&PopulationName::new("pop-other")].clone(),
+    );
+    let connect = |device: u64, population: &str, coordinator: &ActorRef<CoordMsg>| {
+        let conn =
+            DeviceConn::connect(DeviceId(device), population, selector.clone(), coordinator.clone());
         conn.check_in().unwrap();
-        conn.recv(Duration::from_secs(5)).unwrap()
+        conn
+    };
+    let rejected_until = |conn: DeviceConn| match conn.recv(Duration::from_secs(5)).unwrap() {
+        WireMessage::ComeBackLater { retry_at_ms, .. } => retry_at_ms,
+        other => panic!("quota 0 must reject, got {other:?}"),
+    };
+    let configured_for = |conn: DeviceConn| match conn.recv(Duration::from_secs(5)).unwrap() {
+        WireMessage::PlanAndCheckpoint { population, .. } => population,
+        other => panic!("route or quota was not kept, got {other:?}"),
+    };
+    let rewire = |coordinator: &ActorRef<CoordMsg>, quota: usize, population_estimate: u64| {
+        selector
+            .send(SelectorMsg::Rewire {
+                population: PopulationName::new("pop-rewire"),
+                coordinator: coordinator.clone(),
+                quota,
+                population_estimate,
+            })
+            .unwrap();
     };
 
     // Baseline: quota 0 rejects, with a reconnect sized for a population
     // of 100 against a target of 10 — a horizon of ~10 pace periods.
-    let retry_small = match checkin(0) {
-        WireMessage::ComeBackLater { retry_at_ms, .. } => retry_at_ms,
-        other => panic!("quota 0 must reject, got {other:?}"),
-    };
-
+    let retry_small = rejected_until(connect(0, "pop-rewire", &original));
     // Rewire with a huge population estimate (quota still 0): the next
     // reject must be pace-steered across a vastly longer horizon.
-    selector
-        .send(SelectorMsg::Rewire {
-            coordinator: coord_ref.clone(),
-            quota: 0,
-            population_estimate: 100_000_000,
-        })
-        .unwrap();
-    let retry_large = match checkin(1) {
-        WireMessage::ComeBackLater { retry_at_ms, .. } => retry_at_ms,
-        other => panic!("quota 0 must still reject, got {other:?}"),
-    };
+    rewire(&original, 0, 100_000_000);
+    let retry_large = rejected_until(connect(1, "pop-rewire", &original));
     assert!(
         retry_large > retry_small + 60_000,
         "population estimate was not re-delivered: {retry_small} vs {retry_large}"
     );
+    // The quota-0 rewire left the other population's slot alone: its
+    // first device is held by its own Coordinator, awaiting a second.
+    let first_other = connect(10, "pop-other", &other);
 
-    // Rewire with quota 1: the selector must start accepting (and the
-    // goal-1 round configures the device immediately).
-    selector
-        .send(SelectorMsg::Rewire {
-            coordinator: coord_ref.clone(),
-            quota: 1,
-            population_estimate: 100,
-        })
-        .unwrap();
-    assert!(
-        matches!(checkin(2), WireMessage::PlanAndCheckpoint { .. }),
-        "quota was not re-delivered"
-    );
+    // The population's Coordinator dies and a replacement takes over its
+    // lease; a Rewire with quota 1 must route to the replacement and start
+    // accepting (the goal-1 round configures the device immediately).
+    original.send(CoordMsg::Shutdown).unwrap();
+    let lease = coordinator_lease_name(&"pop-rewire".into());
+    for _ in 0..1_000 {
+        if locks.lookup(&lease).is_none() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let replacement = system.spawn("coordinator-pop-rewire-respawn", coordinator("pop-rewire", 1));
+    rewire(&replacement, 1, 100);
+    assert_eq!(configured_for(connect(2, "pop-rewire", &replacement)).as_str(), "pop-rewire");
 
-    selector.send(SelectorMsg::Shutdown).unwrap();
-    coord_ref.send(CoordMsg::Shutdown).unwrap();
+    // The other population still routes to its own Coordinator: its
+    // second device completes the selection and both are configured.
+    let second_other = connect(11, "pop-other", &other);
+    assert_eq!(configured_for(first_other).as_str(), "pop-other");
+    assert_eq!(configured_for(second_other).as_str(), "pop-other");
+
+    topology.shutdown();
+    let _ = replacement.send(CoordMsg::Shutdown);
     system.join();
 }

@@ -7,7 +7,7 @@ use federated::core::events::DeviceEvent;
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
-use federated::core::{DeviceId, SessionLog};
+use federated::core::{DeviceId, PopulationName, SessionLog};
 use federated::data::store::{InMemoryStore, StoreConfig};
 use federated::data::synth::classification::{generate, ClassificationConfig};
 use federated::device::runtime::{ExecutionOutcome, FlRuntime, Interruption};
@@ -65,12 +65,13 @@ fn manual_round_with_selector_devices_and_analytics() {
     let writes_before = coordinator.store().write_count();
 
     // Selector layer: 30 devices check in, quota 13 (1.3 × 10).
+    let population = PopulationName::new("it-pop");
     let mut selector = Selector::new(PaceSteering::new(60_000, 13), 30, 2);
     selector.set_quota(13);
     let mut accepted = Vec::new();
     let mut rejected = 0;
     for i in 0..30u64 {
-        match selector.on_checkin(DeviceId(i), 1_000, 1.0) {
+        match selector.on_checkin_for(&population, DeviceId(i), 1_000, 1.0) {
             CheckinDecision::Accept => accepted.push(DeviceId(i)),
             CheckinDecision::Reject { retry_at_ms } => {
                 assert!(retry_at_ms > 1_000, "pace steering must defer");
@@ -83,7 +84,7 @@ fn manual_round_with_selector_devices_and_analytics() {
 
     // Forward to the round.
     let mut round = coordinator.begin_round(1_000).unwrap();
-    let forwarded = selector.forward_devices(13);
+    let forwarded = selector.forward_devices_for(&population, 13, 1_000);
     for d in &forwarded {
         round.on_checkin(*d, 1_500);
     }

@@ -8,11 +8,11 @@ use federated::actors::{ActorSystem, DeathReason, FaultAction, LockingService, S
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
-use federated::core::DeviceId;
+use federated::core::{DeviceId, PopulationName};
 use federated::server::live::{CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg};
 use federated::server::wire::WireMessage;
 use federated::server::pace::PaceSteering;
-use federated::server::topology::{spawn_topology, SelectorSpec, TopologyBlueprint};
+use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
 use federated::server::{AdmissionConfig, CoordinatorConfig, GlobalAdmissionConfig};
 use crossbeam::channel::unbounded;
 use std::sync::Arc;
@@ -68,8 +68,9 @@ fn round_commits_across_three_selectors() {
             .map(|i| SelectorSpec::new(PaceSteering::new(1_000, 2), 100, i, 2))
             .collect(),
     );
-    let topology = spawn_topology(&system, coordinator, &blueprint);
-    let (selector_refs, coord_ref) = (topology.selectors.clone(), topology.coordinator.clone());
+    let topology = spawn_multi_topology(&system, vec![(coordinator, 2)], &blueprint);
+    let selector_refs = topology.selectors.clone();
+    let coord_ref = topology.coordinators[&PopulationName::new("multi-sel")].clone();
     assert_eq!(selector_refs.len(), 3);
 
     // Six devices, two per selector, each on its own thread.
@@ -129,7 +130,7 @@ fn round_commits_across_three_selectors() {
     // that died, normally, with the round.
     let names: Vec<String> = system.deaths().try_iter().map(|o| o.name).collect();
     assert!(
-        names.iter().any(|n| n == "coordinator/master-r1"),
+        names.iter().any(|n| n == "coordinator-multi-sel/master-r1"),
         "{names:?}"
     );
 }
@@ -160,8 +161,9 @@ fn over_quota_devices_are_pace_steered() {
         9,
         2,
     )]);
-    let topology = spawn_topology(&system, coordinator, &blueprint);
-    let (selector_refs, coord_ref) = (topology.selectors, topology.coordinator);
+    let topology = spawn_multi_topology(&system, vec![(coordinator, 2)], &blueprint);
+    let coord_ref = topology.coordinators[&PopulationName::new("quota-pop")].clone();
+    let selector_refs = topology.selectors;
 
     // Send all check-ins first (the round only configures — and replies —
     // once its selection target of 2 is met), then collect replies.
@@ -239,9 +241,10 @@ fn global_budget_caps_admits_across_selectors() {
         window_ms: 600_000,
         max_admits_per_window: 4,
     });
-    let topology = spawn_topology(&system, coordinator, &blueprint);
+    let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
     let budget = topology.global_budget.clone().expect("budget configured");
-    let (selector_refs, coord_ref) = (topology.selectors, topology.coordinator);
+    let coord_ref = topology.coordinators[&PopulationName::new("global-budget")].clone();
+    let selector_refs = topology.selectors;
 
     // Nine devices, three per selector. Which four of the six
     // local-admission survivors win the shared budget depends on thread
@@ -317,7 +320,7 @@ fn global_budget_caps_admits_across_selectors() {
 fn aggregator_shard_crash_still_commits_the_round() {
     let system = ActorSystem::new();
     system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
-        "coordinator/master-r1/agg-1",
+        "coordinator-shard-crash/master-r1/agg-1",
         1,
         FaultAction::Crash,
     )));
@@ -339,8 +342,9 @@ fn aggregator_shard_crash_still_commits_the_round() {
         1,
         10,
     )]);
-    let topology = spawn_topology(&system, coordinator, &blueprint);
-    let (selector_refs, coord_ref) = (topology.selectors, topology.coordinator);
+    let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
+    let coord_ref = topology.coordinators[&PopulationName::new("shard-crash")].clone();
+    let selector_refs = topology.selectors;
 
     let conns: Vec<_> = (0..4u64)
         .map(|i| {
@@ -405,9 +409,9 @@ fn aggregator_shard_crash_still_commits_the_round() {
             .clone()
     };
     assert!(matches!(
-        reason_of("coordinator/master-r1/agg-1"),
+        reason_of("coordinator-shard-crash/master-r1/agg-1"),
         DeathReason::Panicked(_)
     ));
-    assert_eq!(reason_of("coordinator/master-r1/agg-0"), DeathReason::Normal);
-    assert_eq!(reason_of("coordinator/master-r1"), DeathReason::Normal);
+    assert_eq!(reason_of("coordinator-shard-crash/master-r1/agg-0"), DeathReason::Normal);
+    assert_eq!(reason_of("coordinator-shard-crash/master-r1"), DeathReason::Normal);
 }

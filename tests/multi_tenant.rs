@@ -19,7 +19,7 @@ use federated::server::live::{CoordMsg, CoordinatorActor, DeviceConn};
 use federated::server::pace::PaceSteering;
 use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
 use federated::server::wire::WireMessage;
-use federated::server::{CoordinatorConfig, GlobalAdmissionConfig};
+use federated::server::{AdmissionConfig, CoordinatorConfig, GlobalAdmissionConfig};
 use federated::sim::multi::{default_seeds, run_multi_tenant, sweep, MultiTenantConfig};
 use std::time::Duration;
 
@@ -186,6 +186,88 @@ fn three_populations_commit_concurrently_through_one_selector_layer() {
     for population in &populations {
         assert!(locks.lookup(&format!("coordinator/{population}")).is_none());
     }
+}
+
+/// A check-in for a population the tree does not serve ends in exactly
+/// one outcome: a pace-steered `ComeBackLater` counted as a reject for
+/// that population, seen by no Coordinator. (It used to fall through to
+/// the first Coordinator in name order and take another tenant's plan.)
+#[test]
+fn unserved_population_is_pace_steered_and_reaches_no_coordinator() {
+    let system = ActorSystem::new();
+    let locks: LockingService<String> = LockingService::new();
+    let served = ["served/a", "served/b"];
+    let coordinators = served
+        .iter()
+        .map(|p| (coordinator_for(p, round_with_goal(1), locks.clone()), 4))
+        .collect();
+    // Exactly two admission tokens, for the two served devices: a stray
+    // check-in that spent one would get a served device shed.
+    let admission = AdmissionConfig {
+        accepts_per_sec: 0.0001,
+        burst: 2,
+        max_inflight: 10,
+    };
+    let blueprint = TopologyBlueprint::new(vec![
+        SelectorSpec::new(PaceSteering::new(1_000, 4), 100, 3, 4).with_admission(admission)
+    ])
+    .with_global_admission(GlobalAdmissionConfig {
+        window_ms: 600_000,
+        max_admits_per_window: 10,
+    })
+    .with_telemetry(OverloadMonitorConfig::default());
+    let multi = spawn_multi_topology(&system, coordinators, &blueprint);
+    let connect = |device: u64, population: &str| {
+        let conn = DeviceConn::connect(
+            DeviceId(device),
+            population,
+            multi.selectors[0].clone(),
+            multi.coordinators[&PopulationName::new("served/a")].clone(),
+        );
+        conn.check_in().unwrap();
+        conn
+    };
+
+    let stray = connect(99, "unserved/c");
+    match stray.recv(Duration::from_secs(5)).unwrap() {
+        WireMessage::ComeBackLater { population, .. } => {
+            assert_eq!(population.as_str(), "unserved/c")
+        }
+        other => panic!("unserved check-in must be pace-steered, got {other:?}"),
+    }
+    assert!(
+        stray.recv(Duration::from_millis(200)).is_err(),
+        "an unserved check-in got a second reply"
+    );
+
+    // Each served round has a goal of one: had the stray device reached
+    // a Coordinator it would hold that slot, and the tenant's own device
+    // would be turned away; had it spent a token, one would be shed.
+    for (i, population) in served.iter().enumerate() {
+        match connect(i as u64, population).recv(Duration::from_secs(5)).unwrap() {
+            WireMessage::PlanAndCheckpoint {
+                population: wired, ..
+            } => assert_eq!(wired.as_str(), *population),
+            other => panic!("{population} lost its round slot, got {other:?}"),
+        }
+    }
+
+    let unserved = PopulationName::new("unserved/c");
+    let telemetry = multi.telemetry.clone().expect("telemetry configured");
+    let metrics = telemetry.lock();
+    let series = metrics
+        .population_series(&unserved)
+        .expect("the reject is recorded under its population");
+    assert_eq!(series.retries.sums().iter().sum::<f64>(), 1.0);
+    assert_eq!(series.accepts.sums().iter().sum::<f64>(), 0.0);
+    assert_eq!(series.sheds.sums().iter().sum::<f64>(), 0.0);
+    drop(metrics);
+    let budget = multi.global_budget.clone().expect("budget configured");
+    assert_eq!(budget.admitted_total(), 2, "only the served tenants admit");
+    assert!(!budget.registered_populations().contains(&unserved));
+
+    multi.shutdown();
+    system.join();
 }
 
 /// A storm of check-ins on one tenant runs into the shared budget's

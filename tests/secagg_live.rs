@@ -14,12 +14,12 @@ use federated::analytics::overload::OverloadMonitorConfig;
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
-use federated::core::DeviceId;
+use federated::core::{DeviceId, PopulationName};
 use federated::ml::fixedpoint::FixedPointEncoder;
 use federated::server::aggregator::DropStage;
 use federated::server::live::{CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg};
 use federated::server::pace::PaceSteering;
-use federated::server::topology::{spawn_topology, SelectorSpec, TopologyBlueprint};
+use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
 use federated::server::wire::WireMessage;
 use federated::server::CoordinatorConfig;
 use std::time::Duration;
@@ -71,9 +71,10 @@ fn run_secagg_round(population: &str, dropouts: &[(u64, DropStage)]) -> (Vec<f32
         10,
     )])
     .with_telemetry(OverloadMonitorConfig::default());
-    let topology = spawn_topology(&system, coordinator, &blueprint);
+    let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
     let telemetry = topology.telemetry.clone().expect("telemetry configured");
-    let (selector_refs, coord_ref) = (topology.selectors.clone(), topology.coordinator.clone());
+    let selector_refs = topology.selectors.clone();
+    let coord_ref = topology.coordinators[&PopulationName::new(population)].clone();
 
     let conns: Vec<_> = (0..8u64)
         .map(|i| {
