@@ -11,7 +11,7 @@
 //!
 //! The policy lives in `fl-core` because three layers share it: the
 //! device runtime enforces it (`fl-device::connectivity`), the simulator
-//! subjects fleets to it (`fl-sim::overload`), and server-side capacity
+//! subjects fleets to it (`fl-sim::multi`), and server-side capacity
 //! planning reasons about it (worst-case reconnect rate of a population
 //! is bounded by `budget_per_window / budget_window_ms`).
 

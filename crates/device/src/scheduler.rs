@@ -55,6 +55,14 @@ impl JobScheduler {
         self.next_due_ms = self.next_due_ms.max(retry_at_ms);
     }
 
+    /// Pulls the next invocation earlier, to `at_ms` at the latest: an
+    /// external wake (network recovery, a synchronized alarm) that fires
+    /// the job ahead of its cadence. A job already due sooner is
+    /// untouched; eligibility gating still applies at the poll.
+    pub fn pull_in(&mut self, at_ms: u64) {
+        self.next_due_ms = self.next_due_ms.min(at_ms);
+    }
+
     /// When the next invocation is allowed.
     pub fn next_due_ms(&self) -> u64 {
         self.next_due_ms
@@ -182,6 +190,20 @@ mod tests {
         assert!(!s.poll(8_000, DeviceConditions::in_use()));
         assert!(!s.poll(8_500, DeviceConditions::in_use()));
         assert!(s.poll(9_000, DeviceConditions::eligible()));
+    }
+
+    #[test]
+    fn pull_in_only_moves_the_due_time_earlier() {
+        let mut s = JobScheduler::new(1_000);
+        assert!(s.poll(0, DeviceConditions::eligible()));
+        s.defer_until(50_000);
+        s.pull_in(2_000);
+        assert_eq!(s.next_due_ms(), 2_000);
+        // A later wake never pushes the job back.
+        s.pull_in(9_000);
+        assert_eq!(s.next_due_ms(), 2_000);
+        assert!(!s.poll(1_999, DeviceConditions::eligible()));
+        assert!(s.poll(2_000, DeviceConditions::eligible()));
     }
 
     #[test]

@@ -145,6 +145,16 @@ impl DeviceTenancy {
         Some(decision)
     }
 
+    /// Pulls `population`'s next invocation in to `at_ms` at the latest
+    /// ([`JobScheduler::pull_in`]): an external wake reaches the device
+    /// through its lane, so the session still goes through arbitration.
+    /// Unknown populations are ignored.
+    pub fn pull_in(&mut self, population: &PopulationName, at_ms: u64) {
+        if let Some(lane) = self.lanes.get_mut(population) {
+            lane.scheduler.pull_in(at_ms);
+        }
+    }
+
     /// Records a successful connection for `population` (backoff resets,
     /// budget usage persists). Unknown populations are ignored.
     pub fn on_success(&mut self, population: &PopulationName, now_ms: u64) {
@@ -225,6 +235,26 @@ mod tests {
         assert_eq!(t.active(), None);
         let winner = t.start_session(b_due + 1, DeviceConditions::eligible(), &mut rng);
         assert_eq!(winner, Some(pop("b")));
+    }
+
+    #[test]
+    fn pulled_in_lane_starts_ahead_of_its_cadence() {
+        let mut t = DeviceTenancy::new();
+        let mut rng = seeded(15);
+        t.register(pop("a"), 60_000, policy());
+        assert_eq!(
+            t.start_session(0, DeviceConditions::eligible(), &mut rng),
+            Some(pop("a"))
+        );
+        t.finish_session();
+        // Not due again until 60 000 — until a wake pulls the lane in.
+        assert_eq!(t.start_session(5_000, DeviceConditions::eligible(), &mut rng), None);
+        t.pull_in(&pop("a"), 5_000);
+        assert_eq!(t.lane(&pop("a")).unwrap().scheduler.next_due_ms(), 5_000);
+        assert_eq!(
+            t.start_session(5_000, DeviceConditions::eligible(), &mut rng),
+            Some(pop("a"))
+        );
     }
 
     #[test]

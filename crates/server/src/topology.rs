@@ -8,7 +8,7 @@
 //!
 //! Several harnesses build this tree: the live threaded topology
 //! ([`spawn_multi_topology`]), the chaos harness (`fl-sim::chaos`,
-//! virtual clock), and the overload harness (`fl-sim::overload`, virtual
+//! virtual clock), and the flow-control DES (`fl-sim::multi`, virtual
 //! clock). The blueprint types here are the single source of truth, so a
 //! selector knob added for one harness exists in all of them.
 

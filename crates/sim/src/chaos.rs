@@ -425,10 +425,7 @@ fn schedule_mix(schedule_seed: u64) -> u64 {
     if schedule_seed == 0 {
         return 0;
     }
-    let mut z = schedule_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    rng::splitmix64(schedule_seed)
 }
 
 /// Drives one seeded fault plan against the real Coordinator stack and

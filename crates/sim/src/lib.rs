@@ -21,14 +21,15 @@
 //!   `ScheduleExplorer`) and chaos plans under permuted device timing,
 //!   auditing the never-hang / exactly-one-commit / storage-write /
 //!   obituary-exactly-once invariants across K legal interleavings,
-//! * [`overload`] — flash-crowd / thundering-herd / diurnal-ramp stress
-//!   scenarios auditing the Sec. 2.3 flow-control loop (admission
-//!   shedding, closed-loop pace steering, device retry budgets),
-//! * [`multi`] — multi-population (multi-tenant) scenarios: several FL
-//!   populations sharing one fleet and one Selector layer, auditing
-//!   cross-population fairness under asymmetric load (a flash crowd in
-//!   one tenant must not starve another's accepts or commits) and the
-//!   device-side single-active-session arbitration (Sec. 2.1/3),
+//! * [`multi`] — the flow-control DES: FL populations sharing one fleet
+//!   and one Selector layer, every device a `DeviceTenancy` (one lane per
+//!   population, one active session). Its scenarios audit the Sec. 2.3
+//!   flow-control loop (admission shedding, closed-loop pace steering,
+//!   device retry budgets) under a thundering herd, a flash crowd, a
+//!   diurnal ramp, or a SecAgg flash crowd — each a single-population
+//!   run — and cross-population fairness under asymmetric load (a flash
+//!   crowd in one tenant must not starve another's accepts or commits,
+//!   Sec. 2.1/3),
 //! * [`fleet`] — the fleet-dynamics scenario driving the real
 //!   `fl-server` round state machines with tens of thousands of simulated
 //!   devices over simulated days (regenerates Figs. 5–9 and Table 1),
@@ -45,7 +46,6 @@ pub mod fleet;
 pub mod multi;
 pub mod netchaos;
 pub mod network;
-pub mod overload;
 pub mod training;
 
 pub use availability::DiurnalAvailability;
@@ -54,7 +54,6 @@ pub use explore::{explore_chaos, explore_live_round, explore_secagg_live_round, 
 pub use fleet::{FleetConfig, FleetReport};
 pub use multi::{run_multi_tenant, MultiTenantConfig, MultiTenantReport};
 pub use netchaos::{run_wire_chaos, run_wire_chaos_secagg, WireChaosReport};
-pub use overload::{OverloadConfig, OverloadReport, OverloadScenario};
 pub use training::{TrainingRunConfig, TrainingRunReport};
 
 /// Milliseconds per hour, used throughout the simulator.

@@ -1,38 +1,54 @@
-//! Multi-population (multi-tenant) scenarios: several FL populations
-//! sharing one device fleet and one Selector layer.
+//! The flow-control DES: FL populations sharing one device fleet and one
+//! Selector layer, under seeded arrival disturbances.
 //!
-//! The paper's multi-tenancy story has two halves. On the device
-//! (Sec. 3): "Our implementation provides a multi-tenant architecture,
-//! supporting training of multiple FL populations in the same app" while
-//! "we avoid running training sessions on-device in parallel because of
-//! their high resource consumption" — modeled here by the real
-//! [`DeviceTenancy`] arbitrating a single active session across
-//! per-population lanes. On the server (Sec. 2.1/4.2): each population
-//! is a separate learning problem with its own Coordinator and rounds,
-//! multiplexed over a shared Selector layer that holds each population
-//! against its own quota and admits against a shared fleet-wide budget
-//! with per-population fair-share reservations
-//! ([`GlobalAdmissionBudget::try_admit_for`]).
+//! The paper's flow-control loop (Sec. 2.3) and its multi-tenancy
+//! (Sec. 2.1/3) are one mechanism, and this engine runs both. Pace
+//! steering spreads device check-ins, Selectors shed what still arrives
+//! faster than capacity, and devices cooperate with jittered backoff and
+//! per-population retry budgets.
 //!
-//! The scenario this module exists to audit is *cross-population
-//! fairness under asymmetric load*: one population takes a flash crowd
-//! (a feature launch for one learning problem) while the others tick
-//! along at their steady cadence. The invariants:
+//! * **Device half** — every device is a [`DeviceTenancy`]: one lane (a
+//!   `JobScheduler` cadence plus a `ConnectivityManager` retry budget) per
+//!   population it registered, and a single active training session
+//!   ("we avoid running training sessions on-device in parallel").
+//! * **Server half** — the Selector layer comes from the live topology's
+//!   blueprint. It holds each population against its own quota and admits
+//!   against a shared fleet-wide budget with per-population fair-share
+//!   reservations ([`GlobalAdmissionBudget::try_admit_for`]). Each
+//!   population runs its own [`RoundState`] rounds, aligned to pace-window
+//!   boundaries; a SecAgg population aggregates every round through a
+//!   real [`MasterAggregator`].
+//! * **Wire** — every check-in and report crosses an in-memory
+//!   [`ChannelTransport`] as a framed message naming its population, and
+//!   every rejection, configuration, and ack comes back framed.
 //!
-//! * every population keeps committing rounds — a storm in one tenant
-//!   must not starve another's accepts or commits;
-//! * per-population accept/shed counters sum exactly to the aggregate
-//!   (the multi-tenant bookkeeping conserves check-ins);
+//! A scenario is populations × an optional fleet-wide [`ArrivalProfile`]
+//! (thundering herd, diurnal ramp) × optional per-population flash crowds.
+//! The single-population flow-control scenarios
+//! ([`MultiTenantConfig::thundering_herd`], [`flash_crowd`],
+//! [`secagg_flash_crowd`], [`diurnal_ramp`]) are the n=1 case of the same
+//! engine that runs the multi-tenant fairness scenario
+//! ([`MultiTenantConfig::flash_vs_steady`]).
+//!
+//! Each run audits:
+//!
 //! * the held-connection queue stays under its configured bound;
-//! * every round that starts reaches a terminal state, in every
-//!   population — no wedged rounds anywhere in the tree;
-//! * reports render byte-identically per seed (the chaos-harness
-//!   idiom), so a failing seed is a replayable bug report.
+//! * after a herd or flash crowd, the fleet-wide shed rate converges back
+//!   within [`CONVERGENCE_BUDGET_WINDOWS`] pace windows (not under a
+//!   diurnal ramp, whose disturbance never ends);
+//! * every round that starts reaches a terminal state and every
+//!   population commits at least once;
+//! * a storm in one population does not starve another's accepts;
+//! * check-ins are conserved across layers: the per-population ledgers
+//!   sum to the aggregate, and each population's `CheckinRequest` frames
+//!   on the wire equal the check-ins its Selectors were offered.
 //!
-//! With a single population and no disturbance the harness degenerates
-//! to the single-tenant shape: the per-population series *are* the
-//! aggregate (asserted by the conservation invariant), mirroring how a
-//! single-population live tree is the n=1 case of the routed topology.
+//! Reports render byte-identically per seed (the chaos-harness idiom), so
+//! a failing seed is a replayable bug report.
+//!
+//! [`flash_crowd`]: MultiTenantConfig::flash_crowd
+//! [`secagg_flash_crowd`]: MultiTenantConfig::secagg_flash_crowd
+//! [`diurnal_ramp`]: MultiTenantConfig::diurnal_ramp
 
 use crate::des::EventQueue;
 use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
@@ -41,7 +57,9 @@ use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{DeviceId, FlCheckpoint, FlPlan, PopulationName, RetryPolicy, RoundId};
 use fl_device::conditions::DeviceConditions;
 use fl_device::tenancy::DeviceTenancy;
+use fl_ml::fixedpoint::FixedPointEncoder;
 use fl_ml::rng;
+use fl_server::aggregator::{AggregationPlan, MasterAggregator};
 use fl_server::pace::PaceSteering;
 use fl_server::round::{CheckinResponse, Phase, RoundEvent, RoundState};
 use fl_server::selector::{CheckinDecision, Selector};
@@ -49,6 +67,13 @@ use fl_server::shedding::{AdmissionConfig, GlobalAdmissionBudget, GlobalAdmissio
 use fl_server::topology::{SelectorSpec, TopologyBlueprint};
 use fl_server::wire::{ChannelTransport, Transport, WireMessage, WireStats};
 use rand::Rng;
+
+/// Pace windows allowed between a disturbance's onset and shed-rate
+/// convergence.
+pub const CONVERGENCE_BUDGET_WINDOWS: u64 = 5;
+
+/// Model dimension of the SecAgg field vectors devices upload.
+const SECAGG_DIM: usize = 4;
 
 /// A flash crowd aimed at one population: `newcomers` devices that know
 /// only this population appear at `at_ms` and check in unpaced within
@@ -59,6 +84,41 @@ pub struct FlashCrowd {
     pub at_ms: u64,
     /// How many single-population newcomer devices it brings.
     pub newcomers: u64,
+}
+
+/// A fleet-wide arrival disturbance on top of every lane's cadence.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ArrivalProfile {
+    /// At `at_ms` each idle baseline device joins a synchronized
+    /// reconnect (network-outage recovery, a shared alarm) with
+    /// probability `fraction`: its lanes are pulled in to `at_ms`.
+    ThunderingHerd {
+        /// When the herd fires.
+        at_ms: u64,
+        /// Fraction of idle devices that join the herd (`0.0..=1.0`).
+        fraction: f64,
+    },
+    /// Sinusoidal day/night swing (Fig. 5), fed to the Selectors as the
+    /// pace-steering activity factor `1 + amplitude · sin(2πt / period)`.
+    DiurnalRamp {
+        /// Oscillation period.
+        period_ms: u64,
+        /// Relative amplitude of the swing (`0.0..1.0`).
+        amplitude: f64,
+    },
+}
+
+impl ArrivalProfile {
+    /// The pace-steering activity factor at `now_ms`.
+    fn activity(&self, now_ms: u64) -> f64 {
+        match *self {
+            ArrivalProfile::DiurnalRamp { period_ms, amplitude } => {
+                let phase = now_ms as f64 / period_ms as f64 * std::f64::consts::TAU;
+                1.0 + amplitude * phase.sin()
+            }
+            ArrivalProfile::ThunderingHerd { .. } => 1.0,
+        }
+    }
 }
 
 /// One population (one learning problem) sharing the fleet.
@@ -77,6 +137,13 @@ pub struct PopulationSpec {
     pub membership_stride: u64,
     /// The disturbance, if this is the stormy tenant.
     pub flash: Option<FlashCrowd>,
+    /// When set, every round aggregates through a real
+    /// [`MasterAggregator`] under Secure Aggregation with this group
+    /// threshold `k`: reports upload fixed-point field vectors in
+    /// [`WireMessage::SecAggReport`] frames (the Sec. 6 bandwidth
+    /// premium), and a cohort whose group falls below `k` surfaces as a
+    /// per-shard or whole-round abort instead of a silent mis-sum.
+    pub secagg_k: Option<usize>,
 }
 
 impl PopulationSpec {
@@ -113,6 +180,32 @@ pub struct MultiTenantConfig {
     pub seed: u64,
     /// The tenants.
     pub populations: Vec<PopulationSpec>,
+    /// The fleet-wide arrival disturbance, if any.
+    pub arrival: Option<ArrivalProfile>,
+}
+
+/// Round configuration shared by every built-in scenario.
+fn round(goal_count: usize) -> RoundConfig {
+    RoundConfig {
+        goal_count,
+        overselection: 1.3,
+        min_goal_fraction: 0.6,
+        selection_timeout_ms: 60_000,
+        report_window_ms: 60_000,
+        device_cap_ms: 60_000,
+    }
+}
+
+/// Device retry discipline shared by every built-in scenario.
+fn retry() -> RetryPolicy {
+    RetryPolicy {
+        base_delay_ms: 30_000,
+        multiplier: 2.0,
+        max_delay_ms: 600_000,
+        jitter_frac: 0.5,
+        budget_per_window: 30,
+        budget_window_ms: 600_000,
+    }
 }
 
 impl MultiTenantConfig {
@@ -123,14 +216,6 @@ impl MultiTenantConfig {
     /// storm must shed/defer in its own lane while the other two keep
     /// committing.
     pub fn flash_vs_steady(seed: u64) -> Self {
-        let round = |goal: usize| RoundConfig {
-            goal_count: goal,
-            overselection: 1.3,
-            min_goal_fraction: 0.6,
-            selection_timeout_ms: 60_000,
-            report_window_ms: 60_000,
-            device_cap_ms: 60_000,
-        };
         MultiTenantConfig {
             devices: 4_000,
             horizon_ms: 30 * 60_000,
@@ -150,14 +235,7 @@ impl MultiTenantConfig {
                 max_admits_per_window: 540,
             }),
             stale_after_ms: 180_000,
-            retry: RetryPolicy {
-                base_delay_ms: 30_000,
-                multiplier: 2.0,
-                max_delay_ms: 600_000,
-                jitter_frac: 0.5,
-                budget_per_window: 30,
-                budget_window_ms: 600_000,
-            },
+            retry: retry(),
             seed,
             populations: vec![
                 PopulationSpec {
@@ -167,6 +245,7 @@ impl MultiTenantConfig {
                     quota: 260,
                     membership_stride: 1,
                     flash: None,
+                    secagg_k: None,
                 },
                 PopulationSpec {
                     name: "multi/flash",
@@ -180,6 +259,7 @@ impl MultiTenantConfig {
                         at_ms: 600_000,
                         newcomers: 12_000,
                     }),
+                    secagg_k: None,
                 },
                 PopulationSpec {
                     name: "multi/aux",
@@ -188,8 +268,10 @@ impl MultiTenantConfig {
                     quota: 70,
                     membership_stride: 4,
                     flash: None,
+                    secagg_k: None,
                 },
             ],
+            arrival: None,
         }
     }
 
@@ -210,6 +292,87 @@ impl MultiTenantConfig {
         config
     }
 
+    /// The calibrated single-population flow-control base: one
+    /// population `overload/train` on 8 000 devices (large enough that a
+    /// 40-window horizon never drains the pool), 60 s pace windows, and
+    /// local admission only. Each lane's period is the steady-state
+    /// re-participation horizon `devices / selection_target` windows, so
+    /// the paced fleet offers one selection target per window.
+    fn overload(seed: u64) -> Self {
+        let devices = 8_000;
+        let window_ms = 60_000;
+        let round = round(100);
+        let period_ms = ((devices as f64 / round.selection_target().max(1) as f64).max(1.0)
+            * window_ms as f64) as u64;
+        MultiTenantConfig {
+            devices,
+            horizon_ms: 40 * window_ms,
+            window_ms,
+            forward_period_ms: 15_000,
+            selectors: 1,
+            admission: AdmissionConfig {
+                accepts_per_sec: 50.0,
+                burst: 200,
+                max_inflight: 400,
+            },
+            global_admission: None,
+            stale_after_ms: 180_000,
+            retry: retry(),
+            seed,
+            populations: vec![PopulationSpec {
+                name: "overload/train",
+                period_ms,
+                round,
+                quota: 400,
+                membership_stride: 1,
+                flash: None,
+                secagg_k: None,
+            }],
+            arrival: None,
+        }
+    }
+
+    /// The thundering-herd scenario: the whole idle fleet — more than 10×
+    /// a window's normal arrivals — reconnects at once at window 10.
+    pub fn thundering_herd(seed: u64) -> Self {
+        let mut config = MultiTenantConfig::overload(seed);
+        config.arrival = Some(ArrivalProfile::ThunderingHerd {
+            at_ms: 600_000,
+            fraction: 1.0,
+        });
+        config
+    }
+
+    /// The flash-crowd scenario: a 10× population step at window 10.
+    pub fn flash_crowd(seed: u64) -> Self {
+        let mut config = MultiTenantConfig::overload(seed);
+        config.populations[0].flash = Some(FlashCrowd {
+            at_ms: 600_000,
+            newcomers: config.devices * 9,
+        });
+        config
+    }
+
+    /// The flash crowd under Secure Aggregation with group threshold
+    /// `k = 18`: storm-degraded cohorts spread too thin across the
+    /// Aggregator groups must abort per shard, never mis-sum.
+    pub fn secagg_flash_crowd(seed: u64) -> Self {
+        let mut config = MultiTenantConfig::flash_crowd(seed);
+        config.populations[0].secagg_k = Some(18);
+        config
+    }
+
+    /// The diurnal-ramp scenario: a full activity swing over a 20-window
+    /// period.
+    pub fn diurnal_ramp(seed: u64) -> Self {
+        let mut config = MultiTenantConfig::overload(seed);
+        config.arrival = Some(ArrivalProfile::DiurnalRamp {
+            period_ms: 20 * config.window_ms,
+            amplitude: 0.6,
+        });
+        config
+    }
+
     /// Total device slots including every flash crowd's newcomers.
     fn total_devices(&self) -> u64 {
         self.devices
@@ -218,6 +381,22 @@ impl MultiTenantConfig {
                 .iter()
                 .filter_map(|p| p.flash.map(|f| f.newcomers))
                 .sum::<u64>()
+    }
+
+    /// When the first discrete disturbance (a herd or a flash crowd)
+    /// hits. `None` without one, and under a diurnal ramp, whose
+    /// disturbance never ends — so there is no convergence to audit.
+    fn onset_ms(&self) -> Option<u64> {
+        let herd = match self.arrival {
+            Some(ArrivalProfile::DiurnalRamp { .. }) => return None,
+            Some(ArrivalProfile::ThunderingHerd { at_ms, .. }) => Some(at_ms),
+            None => None,
+        };
+        self.populations
+            .iter()
+            .filter_map(|p| p.flash.map(|f| f.at_ms))
+            .chain(herd)
+            .min()
     }
 }
 
@@ -253,8 +432,8 @@ pub struct PopulationOutcome {
     pub abandoned: u64,
 }
 
-/// Outcome of one multi-tenant run: per-population outcomes in spec
-/// order, fleet-level counters, and the fairness/soundness audit.
+/// Outcome of one run: per-population outcomes in spec order,
+/// fleet-level counters, and the flow-control/fairness audit.
 #[derive(Debug, Clone)]
 pub struct MultiTenantReport {
     /// The master seed.
@@ -276,6 +455,30 @@ pub struct MultiTenantReport {
     /// report crosses the in-memory wire as a framed v3 message carrying
     /// its population.
     pub wire: WireStats,
+    /// The subset of sheds caused by the shared fleet-wide budget (zero
+    /// when no global budget is configured).
+    pub shed_global: u64,
+    /// Stale held connections the Selectors evicted.
+    pub evicted: u64,
+    /// The closed-loop population estimate, summed across Selectors, at
+    /// the horizon.
+    pub population_estimate_final: u64,
+    /// The highest the summed estimate ever got — a flash crowd may
+    /// overshoot before the capped EWMA settles, but only boundedly (see
+    /// `PaceControllerConfig::max_growth_per_window`).
+    pub population_estimate_peak: u64,
+    /// Shed-rate monitor alerts raised (deviation + ceiling).
+    pub alerts: usize,
+    /// Windows from the first herd or flash crowd until the fleet-wide
+    /// shed rate settled (`None`: no such disturbance, or it never
+    /// settled).
+    pub convergence_windows: Option<u64>,
+    /// SecAgg Aggregator groups stranded below threshold in rounds that
+    /// still committed from the surviving groups.
+    pub secagg_shard_aborts: u64,
+    /// Committed rounds whose aggregate was lost because *every* SecAgg
+    /// group fell below threshold.
+    pub secagg_round_aborts: u64,
     /// The per-population accept/shed/retry dashboard panel
     /// ([`OverloadMetrics::render_population_panel`]), captured at the
     /// horizon — deterministic per seed like everything else here.
@@ -285,7 +488,7 @@ pub struct MultiTenantReport {
 }
 
 impl MultiTenantReport {
-    /// Whether every multi-tenant invariant held.
+    /// Whether every invariant held.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
@@ -301,7 +504,10 @@ impl MultiTenantReport {
             "seed={} populations={}\n\
              accepted_total={} rejected_total={} arbitration_losses={}\n\
              max_queue_depth={} queue_bound={}\n\
-             wire up_frames={} up_bytes={} down_frames={} down_bytes={}\n",
+             wire up_frames={} up_bytes={} down_frames={} down_bytes={}\n\
+             shed_global={} evicted={} alerts={} convergence_windows={}\n\
+             population_estimate_final={} population_estimate_peak={}\n\
+             secagg_shard_aborts={} secagg_round_aborts={}\n",
             self.seed,
             self.populations.len(),
             self.accepted_total,
@@ -313,6 +519,15 @@ impl MultiTenantReport {
             self.wire.bytes_sent,
             self.wire.frames_received,
             self.wire.bytes_received,
+            self.shed_global,
+            self.evicted,
+            self.alerts,
+            self.convergence_windows
+                .map_or_else(|| "none".into(), |w| w.to_string()),
+            self.population_estimate_final,
+            self.population_estimate_peak,
+            self.secagg_shard_aborts,
+            self.secagg_round_aborts,
         );
         for p in &self.populations {
             out.push_str(&format!(
@@ -373,6 +588,8 @@ enum Event {
     RoundTick { pop: usize, round_seq: u64 },
     /// Per-window staleness eviction + queue-depth sampling.
     WindowSample,
+    /// The thundering herd fires.
+    HerdWake { fraction: f64 },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,13 +617,67 @@ struct PopRound {
     open_at_ms: u64,
     /// Devices forwarded before Configuration fired.
     pending: Vec<u64>,
+    /// The round's SecAgg aggregation subtree (SecAgg populations only).
+    master: Option<MasterAggregator>,
 }
 
+impl PopRound {
+    /// Round `seq` of `spec`'s population, opening at `open_at_ms`; a
+    /// SecAgg population gets a fresh aggregation subtree per round, as
+    /// in the live topology.
+    fn begin(spec: &PopulationSpec, seq: u64, open_at_ms: u64, seed: u64) -> Self {
+        PopRound {
+            seq,
+            state: RoundState::begin(RoundId(seq + 1), spec.round, open_at_ms),
+            open_at_ms,
+            pending: Vec::new(),
+            master: spec.secagg_k.map(|k| {
+                MasterAggregator::new(
+                    AggregationPlan::with_secagg(SECAGG_DIM, 33, k),
+                    CodecSpec::Identity,
+                    spec.round.selection_target().max(1),
+                    seed.wrapping_add(seq),
+                )
+            }),
+        }
+    }
+}
+
+#[derive(Default)]
 struct PopCounters {
     rounds_started: u64,
     rounds_terminal: u64,
     committed: u64,
     abandoned: u64,
+    secagg_shard_aborts: u64,
+    secagg_round_aborts: u64,
+}
+
+impl PopCounters {
+    /// Books a finished round. A committed SecAgg round finalizes its
+    /// master: a storm-degraded cohort spreads too thin across the
+    /// groups, so shards below `k` abort while surviving shards still
+    /// merge, and if nothing survives the aggregate is lost whole.
+    /// Returns the round's shard aborts.
+    fn finish(&mut self, outcome: &RoundOutcome, master: Option<MasterAggregator>) -> usize {
+        self.rounds_terminal += 1;
+        if !outcome.is_committed() {
+            self.abandoned += 1;
+            return 0;
+        }
+        self.committed += 1;
+        let Some(master) = master else { return 0 };
+        match master.finalize(&[0.0; SECAGG_DIM], &[], &[]) {
+            Ok(out) => {
+                self.secagg_shard_aborts += out.shard_aborts as u64;
+                out.shard_aborts
+            }
+            Err(_) => {
+                self.secagg_round_aborts += 1;
+                0
+            }
+        }
+    }
 }
 
 /// The earliest any of the device's lanes comes due, clamped into the
@@ -421,9 +692,23 @@ fn next_wake_ms(tenancy: &DeviceTenancy, now_ms: u64) -> u64 {
         .max(now_ms + 1)
 }
 
-/// Drives one seeded multi-population scenario against the real
-/// Selector/round/tenancy stack and audits the fairness invariants. See
-/// the module docs.
+/// Windows from `onset_window` until the shed-fraction series settles: the
+/// first window from which every later window stays within `tol` of the
+/// final steady level (mean of the last three windows).
+fn shed_convergence(fractions: &[f64], onset_window: usize, tol: f64) -> Option<u64> {
+    if fractions.len() < onset_window + 4 {
+        return None;
+    }
+    let tail = &fractions[fractions.len() - 3..];
+    let steady = tail.iter().sum::<f64>() / tail.len() as f64;
+    (onset_window..fractions.len())
+        .find(|&w| fractions[w..].iter().all(|f| (f - steady).abs() <= tol))
+        .map(|w| (w - onset_window) as u64)
+}
+
+/// Drives one seeded scenario against the real Selector/round/tenancy
+/// stack and audits the flow-control and fairness invariants. See the
+/// module docs.
 pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
     assert!(
         !config.populations.is_empty(),
@@ -547,23 +832,21 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
             queue.schedule_at(at, Event::Wake { device: d, gen });
         }
     }
+    if let Some(ArrivalProfile::ThunderingHerd { at_ms, fraction }) = config.arrival {
+        queue.schedule_at(at_ms, Event::HerdWake { fraction });
+    }
     queue.schedule_at(config.window_ms, Event::WindowSample);
     queue.schedule_at(config.forward_period_ms, Event::Forward);
 
-    let mut rounds: Vec<PopRound> = (0..npop)
-        .map(|p| PopRound {
-            seq: 0,
-            state: RoundState::begin(RoundId(1), config.populations[p].round, 0),
-            open_at_ms: 0,
-            pending: Vec::new(),
-        })
+    let mut rounds: Vec<PopRound> = config
+        .populations
+        .iter()
+        .map(|spec| PopRound::begin(spec, 0, 0, config.seed))
         .collect();
     let mut counters: Vec<PopCounters> = (0..npop)
         .map(|_| PopCounters {
             rounds_started: 1,
-            rounds_terminal: 0,
-            committed: 0,
-            abandoned: 0,
+            ..PopCounters::default()
         })
         .collect();
     for (p, spec) in config.populations.iter().enumerate() {
@@ -574,7 +857,12 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
     }
 
     let mut max_queue_depth: usize = 0;
+    let mut population_estimate_peak: u64 = 0;
+    // `CheckinRequest` frames each population sent up the wire — the
+    // device-side half of the cross-layer conservation check.
+    let mut checkins_sent: Vec<u64> = vec![0; npop];
     let mut violations: Vec<String> = Vec::new();
+    let fixedpoint = FixedPointEncoder::default_for_updates();
 
     // The in-memory wire: every check-in and report crosses it as a
     // framed v3 `WireMessage` carrying its population, every rejection /
@@ -691,6 +979,7 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                 };
                 // The check-in crosses the wire framed with its
                 // population; the Selector acts only on what it decoded.
+                checkins_sent[pop] += 1;
                 let Some(WireMessage::CheckinRequest {
                     device: wired,
                     population: wired_pop,
@@ -705,9 +994,10 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                     devices[device as usize].tenancy.finish_session();
                     continue;
                 };
+                let activity = config.arrival.map_or(1.0, |a| a.activity(now));
                 let selector = &mut selectors[(wired.0 % n) as usize];
                 let shed_before = selector.shed_total_for(&wired_pop);
-                match selector.on_checkin_for(&wired_pop, wired, now, 1.0) {
+                match selector.on_checkin_for(&wired_pop, wired, now, activity) {
                     CheckinDecision::Accept => {
                         metrics.record_accept_for(&wired_pop, now);
                         devices[device as usize].phase = DevPhase::Held { pop };
@@ -785,25 +1075,61 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                 let loss = 0.9 - (device % 10) as f64 * 0.02;
                 let accuracy = 0.5 + (device % 10) as f64 * 0.03;
                 let round_key = rounds[pop].state.round;
-                let report_msg = WireMessage::UpdateReport {
-                    device: DeviceId(device),
-                    round: round_key,
-                    attempt: 1,
-                    update_bytes: vec![0u8; 4],
-                    weight,
-                    loss,
-                    accuracy,
-                    population: names[pop].clone(),
+                let population = names[pop].clone();
+                let report_msg = if config.populations[pop].secagg_k.is_some() {
+                    // SecAgg upload: the fixed-point field vector, 8
+                    // bytes per coordinate on the measured wire.
+                    let update = [0.1 + (device % 5) as f32 * 0.01; SECAGG_DIM];
+                    let Ok(field_vector) = fixedpoint.encode(&update) else {
+                        violations.push(format!("t={now}: fixed-point encode failed"));
+                        devices[device as usize].tenancy.finish_session();
+                        continue;
+                    };
+                    WireMessage::SecAggReport {
+                        device: DeviceId(device),
+                        round: round_key,
+                        attempt: 1,
+                        field_vector,
+                        weight,
+                        loss,
+                        accuracy,
+                        population,
+                    }
+                } else {
+                    WireMessage::UpdateReport {
+                        device: DeviceId(device),
+                        round: round_key,
+                        attempt: 1,
+                        update_bytes: vec![0u8; 4],
+                        weight,
+                        loss,
+                        accuracy,
+                        population,
+                    }
                 };
-                let Some(WireMessage::UpdateReport { device: wired, .. }) =
-                    wire_uplink!(now, &report_msg)
-                else {
-                    devices[device as usize].tenancy.finish_session();
-                    continue;
+                let (wired, field) = match wire_uplink!(now, &report_msg) {
+                    Some(WireMessage::UpdateReport { device, .. }) => (device, None),
+                    Some(WireMessage::SecAggReport {
+                        device,
+                        field_vector,
+                        weight,
+                        ..
+                    }) => (device, Some((field_vector, weight))),
+                    _ => {
+                        devices[device as usize].tenancy.finish_session();
+                        continue;
+                    }
                 };
                 let accepted = round_seq == rounds[pop].seq;
                 if accepted {
                     let _ = rounds[pop].state.on_report(wired, now);
+                    if let (Some(master), Some((field_vector, weight))) =
+                        (rounds[pop].master.as_mut(), field)
+                    {
+                        // Drop-not-crash: a malformed contribution costs
+                        // only itself.
+                        let _ = master.accept_field(wired, &field_vector, weight);
+                    }
                 }
                 let ack = WireMessage::ReportAck {
                     accepted,
@@ -844,8 +1170,28 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                     s.evict_stale(now);
                     max_queue_depth = max_queue_depth.max(s.connected_count());
                 }
+                let estimate: u64 = selectors
+                    .iter()
+                    .map(|s| s.pace_controller().population_estimate())
+                    .sum();
+                population_estimate_peak = population_estimate_peak.max(estimate);
                 if now + config.window_ms <= config.horizon_ms {
                     queue.schedule_in(config.window_ms, Event::WindowSample);
+                }
+            }
+            Event::HerdWake { fraction } => {
+                // The idle baseline fleet reconnects at once. The wake
+                // reaches each joining device through its lanes, so the
+                // session still goes through the tenancy's arbitration.
+                for d in 0..config.devices {
+                    if devices[d as usize].phase == DevPhase::Idle
+                        && rng.random_range(0..1_000_000u64) < (fraction * 1e6) as u64
+                    {
+                        for name in &names {
+                            devices[d as usize].tenancy.pull_in(name, now);
+                        }
+                        schedule_wake!(d, now);
+                    }
                 }
             }
         }
@@ -866,11 +1212,9 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                         queue.schedule_in(10_000, Event::RoundTick { pop: p, round_seq: seq });
                     }
                     RoundEvent::Finished { at_ms, outcome } => {
-                        counters[p].rounds_terminal += 1;
-                        if outcome.is_committed() {
-                            counters[p].committed += 1;
-                        } else {
-                            counters[p].abandoned += 1;
+                        let aborts = counters[p].finish(&outcome, rounds[p].master.take());
+                        for _ in 0..aborts {
+                            metrics.record_secagg_abort(at_ms);
                         }
                         if let RoundOutcome::AbandonedInSelection { .. } = outcome {
                             // Forwarded-but-unconfigured devices retry
@@ -888,18 +1232,10 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                         let seq = rounds[p].seq + 1;
                         counters[p].rounds_started += 1;
                         let open_at = (at_ms / config.window_ms + 1) * config.window_ms;
-                        rounds[p] = PopRound {
-                            seq,
-                            state: RoundState::begin(
-                                RoundId(seq + 1),
-                                config.populations[p].round,
-                                open_at,
-                            ),
-                            open_at_ms: open_at,
-                            pending: Vec::new(),
-                        };
+                        let spec = &config.populations[p];
+                        rounds[p] = PopRound::begin(spec, seq, open_at, config.seed);
                         queue.schedule_at(
-                            open_at + config.populations[p].round.selection_timeout_ms,
+                            open_at + spec.round.selection_timeout_ms,
                             Event::RoundTick { pop: p, round_seq: seq },
                         );
                     }
@@ -909,26 +1245,23 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
     }
 
     // Post-horizon drain: every population's last round must still reach
-    // a terminal state.
-    for p in 0..npop {
+    // a terminal state — ticking past every window forces the state
+    // machine to resolve (commit on what it has, or abandon cleanly).
+    for (p, spec) in config.populations.iter().enumerate() {
+        let round = &mut rounds[p];
         let mut drain_t = config.horizon_ms;
         for _ in 0..4 {
-            if rounds[p].state.phase().is_terminal() {
+            if round.state.phase().is_terminal() {
                 break;
             }
-            drain_t += config.populations[p].round.selection_timeout_ms
-                + config.populations[p].round.report_window_ms
-                + config.populations[p].round.device_cap_ms
+            drain_t += spec.round.selection_timeout_ms
+                + spec.round.report_window_ms
+                + spec.round.device_cap_ms
                 + 1;
-            rounds[p].state.on_tick(drain_t);
-            for round_event in rounds[p].state.drain_events() {
+            round.state.on_tick(drain_t);
+            for round_event in round.state.drain_events() {
                 if let RoundEvent::Finished { outcome, .. } = round_event {
-                    counters[p].rounds_terminal += 1;
-                    if outcome.is_committed() {
-                        counters[p].committed += 1;
-                    } else {
-                        counters[p].abandoned += 1;
-                    }
+                    counters[p].finish(&outcome, round.master.take());
                 }
             }
         }
@@ -1000,6 +1333,16 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
             "per-population rejects {rejected_by_pop} != aggregate {rejected_total}"
         ));
     }
+    // Cross-layer conservation: every check-in frame a device sent is a
+    // check-in the Selector layer decided, under the same population.
+    for (o, &sent) in outcomes.iter().zip(&checkins_sent) {
+        if o.offered != sent {
+            violations.push(format!(
+                "population {}: {sent} check-in frames sent but the Selectors were offered {}",
+                o.name, o.offered
+            ));
+        }
+    }
     if max_queue_depth > config.admission.max_inflight {
         violations.push(format!(
             "queue depth {max_queue_depth} exceeded bound {}",
@@ -1041,8 +1384,26 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
             }
         }
     }
+    // Recovery: after a herd or flash crowd the fleet-wide shed rate
+    // must settle within the budget.
+    let onset_window = config.onset_ms().map(|at| (at / config.window_ms) as usize);
+    let convergence_windows =
+        onset_window.and_then(|w| shed_convergence(metrics.shed_fractions(), w, 0.15));
+    if onset_window.is_some() {
+        match convergence_windows {
+            Some(w) if w <= CONVERGENCE_BUDGET_WINDOWS => {}
+            Some(w) => violations.push(format!(
+                "shed rate took {w} windows to converge (budget {CONVERGENCE_BUDGET_WINDOWS})"
+            )),
+            None => violations.push("shed rate never converged".into()),
+        }
+    }
 
     let arbitration_losses: u64 = devices.iter().map(|d| d.tenancy.arbitration_losses()).sum();
+    let population_estimate_final: u64 = selectors
+        .iter()
+        .map(|s| s.pace_controller().population_estimate())
+        .sum();
 
     MultiTenantReport {
         seed: config.seed,
@@ -1053,6 +1414,14 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
         max_queue_depth,
         queue_bound: config.admission.max_inflight,
         wire: device_wire.stats(),
+        shed_global: budget.as_ref().map_or(0, |b| b.shed_total()),
+        evicted: selectors.iter().map(|s| s.evicted_total()).sum(),
+        population_estimate_final,
+        population_estimate_peak: population_estimate_peak.max(population_estimate_final),
+        alerts: metrics.alerts().len(),
+        convergence_windows,
+        secagg_shard_aborts: counters.iter().map(|c| c.secagg_shard_aborts).sum(),
+        secagg_round_aborts: counters.iter().map(|c| c.secagg_round_aborts).sum(),
         telemetry_panel: metrics.render_population_panel(),
         violations,
     }
@@ -1154,8 +1523,124 @@ mod tests {
 
     #[test]
     fn replay_is_byte_identical() {
-        let a = run_multi_tenant(&MultiTenantConfig::flash_vs_steady(19)).render();
-        let b = run_multi_tenant(&MultiTenantConfig::flash_vs_steady(19)).render();
-        assert_eq!(a, b);
+        for (make, seed) in [
+            (MultiTenantConfig::flash_vs_steady as fn(u64) -> MultiTenantConfig, 19),
+            (MultiTenantConfig::thundering_herd, 53),
+            (MultiTenantConfig::secagg_flash_crowd, 29),
+        ] {
+            let a = run_multi_tenant(&make(seed)).render();
+            let b = run_multi_tenant(&make(seed)).render();
+            assert_eq!(a, b, "seed {seed} diverged between replays");
+        }
+    }
+
+    #[test]
+    fn thundering_herd_holds_the_invariants_and_trips_the_monitors() {
+        let report = run_multi_tenant(&MultiTenantConfig::thundering_herd(3));
+        assert!(report.is_clean(), "{}", report.render());
+        assert!(report.max_queue_depth <= report.queue_bound);
+        assert!(
+            report.populations[0].shed > 0,
+            "a herd must actually shed:\n{}",
+            report.render()
+        );
+        assert!(report.populations[0].committed >= 3, "{}", report.render());
+        // Every check-in/report crossed the wire framed, and every
+        // shed/configuration/ack came back framed.
+        assert!(
+            report.wire.frames_sent > 0 && report.wire.frames_received > 0,
+            "no framed traffic recorded:\n{}",
+            report.render()
+        );
+        assert!(report.alerts > 0, "herd raised no alerts:\n{}", report.render());
+    }
+
+    /// The closed loop must notice the 10× step (the estimate ends far
+    /// above the baseline 8 000) without overshooting unboundedly.
+    /// Regression (pace-controller overshoot): the flash window delivers
+    /// ~72 000 unpaced arrivals against an 8 000-device estimate, and the
+    /// uncapped `implied = arrivals × periods_per_return` law (~61
+    /// periods) used to spike the estimate past two million devices —
+    /// 25×+ the true stepped population — before the EWMA decayed. With
+    /// per-window growth capped
+    /// (`PaceControllerConfig::max_growth_per_window`), the peak must
+    /// stay within a small factor of the true population.
+    #[test]
+    fn flash_crowd_tracks_the_population_step_with_bounded_overshoot() {
+        let config = MultiTenantConfig::flash_crowd(17);
+        let true_population = config.total_devices();
+        let report = run_multi_tenant(&config);
+        assert!(report.is_clean(), "{}", report.render());
+        assert!(
+            report.population_estimate_final > 20_000,
+            "estimate stuck at {}:\n{}",
+            report.population_estimate_final,
+            report.render()
+        );
+        assert!(
+            report.population_estimate_peak <= 5 * true_population,
+            "estimate peaked at {} for a true population of {true_population}:\n{}",
+            report.population_estimate_peak,
+            report.render()
+        );
+        assert!(
+            report.population_estimate_peak >= report.population_estimate_final,
+            "{}",
+            report.render()
+        );
+    }
+
+    #[test]
+    fn diurnal_ramp_never_wedges() {
+        let report = run_multi_tenant(&MultiTenantConfig::diurnal_ramp(29));
+        assert!(report.is_clean(), "{}", report.render());
+        let only = &report.populations[0];
+        assert_eq!(only.rounds_started, only.rounds_terminal);
+    }
+
+    #[test]
+    fn secagg_flash_crowd_strands_cohorts_below_k_cleanly() {
+        let plain = run_multi_tenant(&MultiTenantConfig::flash_crowd(17));
+        let report = run_multi_tenant(&MultiTenantConfig::secagg_flash_crowd(17));
+        assert!(report.is_clean(), "{}", report.render());
+        assert!(report.populations[0].committed >= 1, "{}", report.render());
+        // The storm must have pushed at least one cohort's group below k
+        // — surfaced as a typed abort, never a silent mis-sum.
+        assert!(
+            report.secagg_shard_aborts + report.secagg_round_aborts >= 1,
+            "no group ever fell below threshold:\n{}",
+            report.render()
+        );
+        // Field vectors are 8 bytes per coordinate vs. the plain run's
+        // 4-byte blob: the SecAgg premium shows in measured uplink bytes.
+        assert!(
+            report.wire.bytes_sent > plain.wire.bytes_sent,
+            "secagg uplink {} <= plain uplink {}",
+            report.wire.bytes_sent,
+            plain.wire.bytes_sent
+        );
+    }
+
+    /// Three Selectors each shed locally under a herd, while one shared
+    /// fleet-wide budget caps what they admit in total — the cap binds
+    /// (global sheds happen) yet rounds still commit.
+    #[test]
+    fn global_budget_is_shared_across_selectors() {
+        let mut config = MultiTenantConfig::thundering_herd(3);
+        config.selectors = 3;
+        config.global_admission = Some(GlobalAdmissionConfig {
+            window_ms: 60_000,
+            max_admits_per_window: 300,
+        });
+        let report = run_multi_tenant(&config);
+        let only = &report.populations[0];
+        assert!(
+            report.shed_global > 0,
+            "herd never hit the shared budget:\n{}",
+            report.render()
+        );
+        assert!(only.shed > report.shed_global, "{}", report.render());
+        assert!(only.committed >= 1, "{}", report.render());
+        assert_eq!(only.rounds_started, only.rounds_terminal, "{}", report.render());
     }
 }

@@ -40,6 +40,7 @@ use fl_core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{DeviceId, PopulationName};
 use fl_device::UploadSession;
+use fl_ml::rng::splitmix64;
 use fl_server::coordinator::CoordinatorConfig;
 use fl_server::live::{coordinator_lease_name, CoordMsg, CoordinatorActor, SelectorMsg};
 use fl_server::pace::PaceSteering;
@@ -80,15 +81,8 @@ const MAX_POLLS: u32 = 1_000;
 /// Bound on any single channel wait.
 const WAIT: Duration = Duration::from_secs(10);
 
-/// `splitmix64`, the house mixer — fault fates must be a pure function
-/// of `(seed, device, slot)`, identical across platforms and replays.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
+/// Fault fates must be a pure function of `(seed, device, slot)`,
+/// identical across platforms and replays.
 fn mix(seed: u64, device: u64, slot: u64) -> u64 {
     splitmix64(seed ^ splitmix64(device.wrapping_mul(0x0101_0101_0101_0101) ^ slot))
 }

@@ -18,6 +18,7 @@
 use crate::frame::{encode, WireError};
 use crate::message::WireMessage;
 use crate::transport::{Transport, WireSink, WireStats};
+use fl_ml::rng::splitmix64;
 use fl_race::Site;
 use std::fmt;
 use std::time::Duration;
@@ -26,15 +27,6 @@ use std::time::Duration;
 /// so a fault decision may nest into a real socket send; DESIGN.md
 /// §7.1).
 const FAULT_SITE: Site = Site::new("wire/fault.script", 68);
-
-/// `splitmix64` — the same mixer the chaos harness uses for schedule
-/// derivation, so fault positions are seed-stable across platforms.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// What happens to one outbound frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

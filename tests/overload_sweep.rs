@@ -1,24 +1,26 @@
-//! Overload sweep (the tentpole of the overload-robustness PR): seeded,
-//! replayable flash-crowd / thundering-herd / diurnal-ramp scenarios
-//! driven against the real Selector stack (admission control + closed-loop
-//! pace steering) and real device retry budgets, asserting the Sec. 2.3
-//! flow-control guarantees: bounded queues, shed-rate convergence, and
-//! rounds that still commit under overload.
+//! Overload sweep: seeded, replayable flash-crowd / thundering-herd /
+//! diurnal-ramp scenarios — single-population runs of the flow-control
+//! DES — driven against the real Selector stack (admission control +
+//! closed-loop pace steering) and real device retry budgets, asserting
+//! the Sec. 2.3 flow-control guarantees: bounded queues, shed-rate
+//! convergence, and rounds that still commit under overload.
 
-use federated::sim::overload::{
-    default_seeds, run_overload, sweep, OverloadConfig,
-};
+use federated::sim::multi::{run_multi_tenant, sweep, MultiTenantConfig};
+
+/// The fixed seed set `scripts/check.sh` sweeps for the overload gate.
+const SEEDS: [u64; 4] = [3, 17, 29, 53];
 
 /// The fixed-seed thundering-herd sweep `scripts/check.sh` runs as a
 /// release gate: a synchronized reconnect of the entire idle fleet must
 /// keep the Selector queue under its configured bound, converge the shed
-/// rate within the configured window budget, and drive every started
-/// round to a terminal state with at least one commit.
+/// rate within the window budget, and drive every started round to a
+/// terminal state with at least one commit.
 #[test]
 fn fixed_seed_herd_sweep_is_clean() {
-    let reports = sweep(&default_seeds(), OverloadConfig::thundering_herd);
-    assert_eq!(reports.len(), default_seeds().len());
+    let reports = sweep(&SEEDS, MultiTenantConfig::thundering_herd);
+    assert_eq!(reports.len(), SEEDS.len());
     for report in &reports {
+        let only = &report.populations[0];
         assert!(
             report.is_clean(),
             "seed {} violated overload invariants:\n{}",
@@ -32,20 +34,20 @@ fn fixed_seed_herd_sweep_is_clean() {
             report.render()
         );
         assert!(
-            report.committed >= 1,
+            only.committed >= 1,
             "seed {} never committed a round:\n{}",
             report.seed,
             report.render()
         );
         assert_eq!(
-            report.rounds_started, report.rounds_terminal,
+            only.rounds_started, only.rounds_terminal,
             "seed {} left a round non-terminal:\n{}",
             report.seed,
             report.render()
         );
     }
     // The sweep must actually exercise the admission layer, not coast.
-    let shed: u64 = reports.iter().map(|r| r.shed).sum();
+    let shed: u64 = reports.iter().map(|r| r.populations[0].shed).sum();
     assert!(shed >= 100, "sweep shed only {shed} check-ins");
 }
 
@@ -55,23 +57,21 @@ fn fixed_seed_herd_sweep_is_clean() {
 /// queue growth or wedged rounds.
 #[test]
 fn fixed_seed_flash_and_ramp_sweeps_are_clean() {
-    for make in [
-        OverloadConfig::flash_crowd as fn(u64) -> OverloadConfig,
-        OverloadConfig::diurnal_ramp as fn(u64) -> OverloadConfig,
+    for (scenario, make) in [
+        ("flash-crowd", MultiTenantConfig::flash_crowd as fn(u64) -> MultiTenantConfig),
+        ("diurnal-ramp", MultiTenantConfig::diurnal_ramp),
     ] {
-        for report in sweep(&default_seeds(), make) {
+        for report in sweep(&SEEDS, make) {
             assert!(
                 report.is_clean(),
-                "seed {} ({}) violated overload invariants:\n{}",
+                "seed {} ({scenario}) violated overload invariants:\n{}",
                 report.seed,
-                report.scenario,
                 report.render()
             );
             assert!(
-                report.committed >= 1,
-                "seed {} ({}) never committed:\n{}",
+                report.populations[0].committed >= 1,
+                "seed {} ({scenario}) never committed:\n{}",
                 report.seed,
-                report.scenario,
                 report.render()
             );
         }
@@ -82,13 +82,13 @@ fn fixed_seed_flash_and_ramp_sweeps_are_clean() {
 /// run byte-for-byte, so a failing seed is a replayable bug report.
 #[test]
 fn replay_of_a_seed_is_byte_identical() {
-    for seed in default_seeds() {
+    for seed in SEEDS {
         for make in [
-            OverloadConfig::thundering_herd as fn(u64) -> OverloadConfig,
-            OverloadConfig::flash_crowd as fn(u64) -> OverloadConfig,
+            MultiTenantConfig::thundering_herd as fn(u64) -> MultiTenantConfig,
+            MultiTenantConfig::flash_crowd,
         ] {
-            let first = run_overload(&make(seed)).render();
-            let second = run_overload(&make(seed)).render();
+            let first = run_multi_tenant(&make(seed)).render();
+            let second = run_multi_tenant(&make(seed)).render();
             assert_eq!(first, second, "seed {seed} diverged between replays");
         }
     }
