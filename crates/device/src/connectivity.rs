@@ -132,7 +132,6 @@ pub struct ConnectivityManager {
     /// of `budget_window_ms` so window boundaries are clock-deterministic.
     window_start_ms: u64,
     attempts_in_window: u32,
-    retries_total: u64,
     budget_exhaustions_total: u64,
 }
 
@@ -153,7 +152,6 @@ impl ConnectivityManager {
             consecutive_failures: 0,
             window_start_ms: 0,
             attempts_in_window: 0,
-            retries_total: 0,
             budget_exhaustions_total: 0,
         }
     }
@@ -178,7 +176,6 @@ impl ConnectivityManager {
     ) -> RetryDecision {
         self.roll_window(now_ms);
         self.attempts_in_window = self.attempts_in_window.saturating_add(1);
-        self.retries_total += 1;
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
 
         let server_at = server_retry_at_ms.unwrap_or(0);
@@ -262,11 +259,6 @@ impl ConnectivityManager {
     /// Attempts charged against the current budget window.
     pub fn attempts_in_window(&self) -> u32 {
         self.attempts_in_window
-    }
-
-    /// Total rejected/failed attempts observed over the manager's life.
-    pub fn retries_total(&self) -> u64 {
-        self.retries_total
     }
 
     /// Times the per-window budget ran out.
@@ -487,7 +479,6 @@ mod tests {
         );
         assert_eq!(m.consecutive_failures(), 1);
         assert_eq!(m.attempts_in_window(), 1, "budget is charged");
-        assert_eq!(m.retries_total(), 1);
         // Repeated refusals keep growing the backoff and eventually
         // exhaust the per-window budget.
         let mut now = d.effective_at_ms();

@@ -15,7 +15,10 @@
 //! lost the session slot is deferred through its own retry discipline
 //! ([`JobScheduler::defer_until`] via [`RetryDecision::apply_to`]),
 //! charging its own budget, so it decorrelates and comes back instead of
-//! spinning against the active session.
+//! spinning against the active session. A session the server refuses
+//! gives back the periodic slot its poll took, so the lane retries at its
+//! [`RetryDecision`](crate::connectivity::RetryDecision) (backoff, server
+//! window or budget rollover) rather than a whole period later.
 
 use crate::conditions::DeviceConditions;
 use crate::connectivity::ConnectivityManager;
@@ -129,7 +132,8 @@ impl DeviceTenancy {
 
     /// Routes a decoded server reply for `population` through that
     /// population's retry discipline and scheduler — a `ComeBackLater` /
-    /// `Shed` / refusing ack charges *only* this lane's budget. Returns
+    /// `Shed` / refusing ack charges *only* this lane's budget, and a
+    /// refused running session comes due exactly at the decision. Returns
     /// the decision, or `None` when the reply is not a rejection or the
     /// population is unknown.
     pub fn on_server_reply<R: rand::Rng>(
@@ -139,8 +143,15 @@ impl DeviceTenancy {
         reply: &fl_wire::WireMessage,
         rng: &mut R,
     ) -> Option<crate::connectivity::RetryDecision> {
+        let refuses_active = self.queue.active() == Some(population);
         let lane = self.lanes.get_mut(population)?;
         let decision = lane.connectivity.on_wire_reply(now_ms, reply, rng)?;
+        if refuses_active {
+            // The refused session's poll took the next periodic slot;
+            // give it back, so the lane retries at the decision rather
+            // than a whole period later.
+            lane.scheduler.pull_in(decision.effective_at_ms());
+        }
         decision.apply_to(&mut lane.scheduler);
         Some(decision)
     }
@@ -258,6 +269,40 @@ mod tests {
     }
 
     #[test]
+    fn refused_session_retries_at_its_decision_not_a_period_later() {
+        let mut t = DeviceTenancy::new();
+        let mut rng = seeded(16);
+        t.register(pop("a"), 3_600_000, policy());
+        assert_eq!(
+            t.start_session(0, DeviceConditions::eligible(), &mut rng),
+            Some(pop("a"))
+        );
+        // The poll took the next periodic slot, an hour out...
+        assert_eq!(t.lane(&pop("a")).unwrap().scheduler.next_due_ms(), 3_600_000);
+        let shed = fl_wire::WireMessage::Shed {
+            retry_at_ms: 50_000,
+            population: pop("a"),
+        };
+        let retry_at = t
+            .on_server_reply(&pop("a"), 0, &shed, &mut rng)
+            .expect("a rejection")
+            .effective_at_ms();
+        t.finish_session();
+        // ...and the refusal gives it back: the lane comes due at the
+        // decision, which honours the server's window.
+        assert!((50_000..3_600_000).contains(&retry_at), "retry at {retry_at}");
+        assert_eq!(t.lane(&pop("a")).unwrap().scheduler.next_due_ms(), retry_at);
+        assert_eq!(
+            t.start_session(retry_at - 1, DeviceConditions::eligible(), &mut rng),
+            None
+        );
+        assert_eq!(
+            t.start_session(retry_at, DeviceConditions::eligible(), &mut rng),
+            Some(pop("a"))
+        );
+    }
+
+    #[test]
     fn ineligible_device_starts_nothing() {
         let mut t = DeviceTenancy::new();
         let mut rng = seeded(12);
@@ -317,8 +362,8 @@ mod tests {
         };
         let d = t.on_server_reply(&pop("a"), 0, &reply, &mut rng).unwrap();
         assert!(d.effective_at_ms() >= 50_000);
-        assert_eq!(t.lane(&pop("a")).unwrap().connectivity.retries_total(), 1);
-        assert_eq!(t.lane(&pop("b")).unwrap().connectivity.retries_total(), 0);
+        assert_eq!(t.lane(&pop("a")).unwrap().connectivity.attempts_in_window(), 1);
+        assert_eq!(t.lane(&pop("b")).unwrap().connectivity.attempts_in_window(), 0);
         // Unknown population: no lane, no decision.
         assert!(t.on_server_reply(&pop("ghost"), 0, &reply, &mut rng).is_none());
     }

@@ -99,6 +99,10 @@ pub struct Selector {
     /// eviction (a caller that forwards immediately never holds state
     /// long enough to go stale).
     stale_after_ms: Option<u64>,
+    /// No held connection can go stale before this instant: the oldest
+    /// last-seen time plus the TTL as of the last scan (accepts only
+    /// lower it), so [`Selector::evict_stale`] skips its scan until then.
+    stale_floor_ms: u64,
     pace: PaceController,
     admission: Option<AdmissionController>,
     /// Fleet-wide admission budget shared with the topology's other
@@ -126,6 +130,7 @@ impl Selector {
             pops: Vec::new(),
             connected: BTreeMap::new(),
             stale_after_ms: None,
+            stale_floor_ms: 0,
             pace: PaceController::new(pace, population_estimate, controller_config),
             admission: None,
             global: None,
@@ -215,15 +220,22 @@ impl Selector {
         let Some(ttl) = self.stale_after_ms else {
             return 0;
         };
+        if now_ms < self.stale_floor_ms {
+            return 0;
+        }
         let pops = &mut self.pops;
         let before = self.connected.len();
+        let mut oldest = u64::MAX;
         self.connected.retain(|_, held| {
             let fresh = now_ms.saturating_sub(held.last_seen_ms) < ttl;
-            if !fresh {
+            if fresh {
+                oldest = oldest.min(held.last_seen_ms);
+            } else {
                 pops[held.pop].held -= 1;
             }
             fresh
         });
+        self.stale_floor_ms = oldest.saturating_add(ttl);
         let evicted = before - self.connected.len();
         self.evicted_total += evicted as u64;
         evicted
@@ -273,6 +285,9 @@ impl Selector {
                         last_seen_ms: now_ms,
                         pop,
                     });
+                    if let Some(ttl) = self.stale_after_ms {
+                        self.stale_floor_ms = self.stale_floor_ms.min(now_ms.saturating_add(ttl));
+                    }
                     let state = &mut self.pops[pop];
                     state.held += 1;
                     state.accepted += 1;

@@ -22,7 +22,7 @@
 use crate::pace::{PaceSteering, SMALL_POPULATION};
 use fl_core::PopulationName;
 use fl_ml::metrics::MetricSummary;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Why a check-in was shed rather than considered for admission.
@@ -447,14 +447,18 @@ impl PaceControllerConfig {
 /// Every check-in (accepted, rejected, or shed) is an arrival
 /// observation. At each window boundary the window's arrival count `A`
 /// is folded into P² sketches and converted into the population it
-/// *implies* under the current policy: devices spread over a horizon of
-/// `max(estimate / target, 1)` periods arrive at
-/// `target × population / estimate` per period, so
-/// `implied = A × max(estimate / target, 1)`. The estimate then moves
-/// toward the implied value by the configured gain — a fixed-point
-/// iteration that converges to the true arrival-generating population
-/// and therefore sizes reconnect horizons from what the fleet actually
-/// does, not from a static guess.
+/// *implies* under the policy that paced it: devices spread over a
+/// horizon of `max(E / target, 1)` periods arrive at
+/// `target × population / E` per period, so
+/// `implied = A × max(E / target, 1)`. The devices landing now were told
+/// to come back up to one horizon ago, so `E` is the estimate in force
+/// one current horizon back (from the last [`PACE_HISTORY_WINDOWS`]
+/// windows), not the current one: extrapolating stale-paced retries with
+/// a freshly grown horizon would compound the estimate window after
+/// window. The estimate then moves toward the implied value by the
+/// configured gain — a fixed-point iteration that converges to the true
+/// arrival-generating population and therefore sizes reconnect horizons
+/// from what the fleet actually does, not from a static guess.
 #[derive(Debug, Clone)]
 pub struct PaceController {
     pace: PaceSteering,
@@ -463,9 +467,17 @@ pub struct PaceController {
     window_start_ms: u64,
     window_arrivals: u64,
     windows_observed: u64,
+    /// The estimate in force during each of the last
+    /// [`PACE_HISTORY_WINDOWS`] windows, newest last.
+    history: VecDeque<f64>,
     /// Per-window arrival counts (moments + P² p50/p90), for analytics.
     arrival_sketch: MetricSummary,
 }
+
+/// How many past windows' estimates a [`PaceController`] keeps to find
+/// the horizon its current arrivals were paced by (a day of one-minute
+/// windows).
+pub const PACE_HISTORY_WINDOWS: usize = 1_440;
 
 impl PaceController {
     /// Creates a controller seeded with an initial population estimate.
@@ -489,6 +501,7 @@ impl PaceController {
             window_start_ms: 0,
             window_arrivals: 0,
             windows_observed: 0,
+            history: VecDeque::new(),
             arrival_sketch: MetricSummary::new("checkin_arrivals_per_window"),
         }
     }
@@ -506,8 +519,18 @@ impl PaceController {
             let arrivals = self.window_arrivals as f64;
             self.arrival_sketch.push(arrivals);
             self.windows_observed += 1;
-            let periods_per_return =
-                (self.estimate / self.pace.target_checkins as f64).max(1.0);
+            if self.history.len() == PACE_HISTORY_WINDOWS {
+                self.history.pop_front();
+            }
+            self.history.push_back(self.estimate);
+            let target = self.pace.target_checkins as f64;
+            // The devices landing now were told to come back up to one
+            // horizon ago, so they were spread over the horizon in force
+            // then: extrapolate with the estimate from one current
+            // horizon back (the oldest kept, if the history is shorter).
+            let back = ((self.estimate / target).max(1.0) as usize).min(self.history.len());
+            let paced_by = self.history[self.history.len() - back];
+            let periods_per_return = (paced_by / target).max(1.0);
             let implied = (arrivals * periods_per_return)
                 .min(self.estimate * self.config.max_growth_per_window);
             self.estimate = (self.estimate + self.config.gain * (implied - self.estimate))
@@ -686,6 +709,31 @@ mod tests {
             est > 60_000,
             "estimate {est} failed to track a 10× flash crowd"
         );
+    }
+
+    /// Regression: a 10× step sustained at the arrival rate the *old*
+    /// horizon paces (100 000 devices spread over the 100 periods a
+    /// 10 000-device estimate hands out) used to be extrapolated with the
+    /// freshly grown horizon, so the estimate compounded to its ceiling.
+    /// Extrapolating with the horizon the arrivals were paced by settles
+    /// it at the stepped population.
+    #[test]
+    fn sustained_stale_paced_step_settles_instead_of_compounding() {
+        let mut c = controller(10_000);
+        let mut peak = 0;
+        for w in 0..40u64 {
+            for i in 0..1_000u64 {
+                c.on_arrival(w * 60_000 + i * 60);
+            }
+            peak = peak.max(c.population_estimate());
+        }
+        c.on_arrival(40 * 60_000); // close window 39
+        let est = c.population_estimate();
+        assert!(
+            (90_000..=110_000).contains(&est),
+            "estimate {est} did not settle at the 100k stepped population"
+        );
+        assert!(peak <= 110_000, "estimate overshot to {peak}");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! * **Device half** — every device is a [`DeviceTenancy`]: one lane (a
 //!   `JobScheduler` cadence plus a `ConnectivityManager` retry budget) per
 //!   population it registered, and a single active training session
-//!   ("we avoid running training sessions on-device in parallel").
+//!   ("we avoid running training sessions on-device in parallel"). A
+//!   refused session retries at its lane's retry decision; a served one
+//!   comes back on the lane's cadence.
 //! * **Server half** — the Selector layer comes from the live topology's
 //!   blueprint. It holds each population against its own quota and admits
 //!   against a shared fleet-wide budget with per-population fair-share
@@ -35,7 +37,11 @@
 //! * the held-connection queue stays under its configured bound;
 //! * after a herd or flash crowd, the fleet-wide shed rate converges back
 //!   within [`CONVERGENCE_BUDGET_WINDOWS`] pace windows (not under a
-//!   diurnal ramp, whose disturbance never ends);
+//!   diurnal ramp, whose disturbance never ends, and only reported under
+//!   a fleet-wide fair-share budget, which caps the storm on and off for
+//!   as long as it over-demands) — while every later window still carries
+//!   check-ins and devices retry within that budget, so a fleet gone
+//!   silent cannot pass for one that recovered;
 //! * every round that starts reaches a terminal state and every
 //!   population commits at least once;
 //! * a storm in one population does not starve another's accepts;
@@ -72,6 +78,15 @@ use rand::Rng;
 /// convergence.
 pub const CONVERGENCE_BUDGET_WINDOWS: u64 = 5;
 
+/// When a [`ArrivalProfile::ThunderingHerd`] fires.
+pub const HERD_AT_MS: u64 = 600_000;
+
+/// Period of the [`ArrivalProfile::DiurnalRamp`] swing, in pace windows.
+pub const RAMP_PERIOD_WINDOWS: u64 = 20;
+
+/// Relative amplitude of the [`ArrivalProfile::DiurnalRamp`] swing.
+pub const RAMP_AMPLITUDE: f64 = 0.6;
+
 /// Model dimension of the SecAgg field vectors devices upload.
 const SECAGG_DIM: usize = 4;
 
@@ -87,36 +102,28 @@ pub struct FlashCrowd {
 }
 
 /// A fleet-wide arrival disturbance on top of every lane's cadence.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalProfile {
-    /// At `at_ms` each idle baseline device joins a synchronized
-    /// reconnect (network-outage recovery, a shared alarm) with
-    /// probability `fraction`: its lanes are pulled in to `at_ms`.
-    ThunderingHerd {
-        /// When the herd fires.
-        at_ms: u64,
-        /// Fraction of idle devices that join the herd (`0.0..=1.0`).
-        fraction: f64,
-    },
+    /// At [`HERD_AT_MS`] every idle baseline device joins a synchronized
+    /// reconnect (network-outage recovery, a shared alarm): its lanes are
+    /// pulled in to that instant.
+    ThunderingHerd,
     /// Sinusoidal day/night swing (Fig. 5), fed to the Selectors as the
-    /// pace-steering activity factor `1 + amplitude · sin(2πt / period)`.
-    DiurnalRamp {
-        /// Oscillation period.
-        period_ms: u64,
-        /// Relative amplitude of the swing (`0.0..1.0`).
-        amplitude: f64,
-    },
+    /// pace-steering activity factor `1 + a · sin(2πt / period)` with
+    /// `a` = [`RAMP_AMPLITUDE`] and a period of [`RAMP_PERIOD_WINDOWS`]
+    /// pace windows.
+    DiurnalRamp,
 }
 
 impl ArrivalProfile {
     /// The pace-steering activity factor at `now_ms`.
-    fn activity(&self, now_ms: u64) -> f64 {
-        match *self {
-            ArrivalProfile::DiurnalRamp { period_ms, amplitude } => {
-                let phase = now_ms as f64 / period_ms as f64 * std::f64::consts::TAU;
-                1.0 + amplitude * phase.sin()
+    fn activity(self, now_ms: u64, window_ms: u64) -> f64 {
+        match self {
+            ArrivalProfile::DiurnalRamp => {
+                let period_ms = (RAMP_PERIOD_WINDOWS * window_ms) as f64;
+                1.0 + RAMP_AMPLITUDE * (now_ms as f64 / period_ms * std::f64::consts::TAU).sin()
             }
-            ArrivalProfile::ThunderingHerd { .. } => 1.0,
+            ArrivalProfile::ThunderingHerd => 1.0,
         }
     }
 }
@@ -336,10 +343,7 @@ impl MultiTenantConfig {
     /// a window's normal arrivals — reconnects at once at window 10.
     pub fn thundering_herd(seed: u64) -> Self {
         let mut config = MultiTenantConfig::overload(seed);
-        config.arrival = Some(ArrivalProfile::ThunderingHerd {
-            at_ms: 600_000,
-            fraction: 1.0,
-        });
+        config.arrival = Some(ArrivalProfile::ThunderingHerd);
         config
     }
 
@@ -366,10 +370,7 @@ impl MultiTenantConfig {
     /// period.
     pub fn diurnal_ramp(seed: u64) -> Self {
         let mut config = MultiTenantConfig::overload(seed);
-        config.arrival = Some(ArrivalProfile::DiurnalRamp {
-            period_ms: 20 * config.window_ms,
-            amplitude: 0.6,
-        });
+        config.arrival = Some(ArrivalProfile::DiurnalRamp);
         config
     }
 
@@ -388,8 +389,8 @@ impl MultiTenantConfig {
     /// disturbance never ends — so there is no convergence to audit.
     fn onset_ms(&self) -> Option<u64> {
         let herd = match self.arrival {
-            Some(ArrivalProfile::DiurnalRamp { .. }) => return None,
-            Some(ArrivalProfile::ThunderingHerd { at_ms, .. }) => Some(at_ms),
+            Some(ArrivalProfile::DiurnalRamp) => return None,
+            Some(ArrivalProfile::ThunderingHerd) => Some(HERD_AT_MS),
             None => None,
         };
         self.populations
@@ -418,8 +419,10 @@ pub struct PopulationOutcome {
     pub budget_admits: u64,
     /// Sheds charged to this population by the shared global budget.
     pub budget_sheds: u64,
-    /// Device-side retries recorded on this population's lanes.
-    pub retries: u64,
+    /// Check-ins this population's lanes made while still carrying an
+    /// unresolved rejection: the retries that actually came back (the
+    /// retries *pushed* are the telemetry panel's `retries` series).
+    pub retried: u64,
     /// Lanes that exhausted a retry-budget window at least once.
     pub budget_exhaustions: u64,
     /// Rounds begun by this population's Coordinator.
@@ -532,7 +535,7 @@ impl MultiTenantReport {
         for p in &self.populations {
             out.push_str(&format!(
                 "pop {} offered={} accepted={} shed={} rejected_other={} \
-                 budget_admits={} budget_sheds={} retries={} exhaustions={} \
+                 budget_admits={} budget_sheds={} retried={} exhaustions={} \
                  rounds={}:{} committed={} abandoned={}\n",
                 p.name,
                 p.offered,
@@ -541,7 +544,7 @@ impl MultiTenantReport {
                 p.rejected_other,
                 p.budget_admits,
                 p.budget_sheds,
-                p.retries,
+                p.retried,
                 p.budget_exhaustions,
                 p.rounds_started,
                 p.rounds_terminal,
@@ -589,7 +592,7 @@ enum Event {
     /// Per-window staleness eviction + queue-depth sampling.
     WindowSample,
     /// The thundering herd fires.
-    HerdWake { fraction: f64 },
+    HerdWake,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -832,8 +835,8 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
             queue.schedule_at(at, Event::Wake { device: d, gen });
         }
     }
-    if let Some(ArrivalProfile::ThunderingHerd { at_ms, fraction }) = config.arrival {
-        queue.schedule_at(at_ms, Event::HerdWake { fraction });
+    if config.arrival == Some(ArrivalProfile::ThunderingHerd) {
+        queue.schedule_at(HERD_AT_MS, Event::HerdWake);
     }
     queue.schedule_at(config.window_ms, Event::WindowSample);
     queue.schedule_at(config.forward_period_ms, Event::Forward);
@@ -861,6 +864,12 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
     // `CheckinRequest` frames each population sent up the wire — the
     // device-side half of the cross-layer conservation check.
     let mut checkins_sent: Vec<u64> = vec![0; npop];
+    // Retried check-ins per population, and fleet-wide check-ins and
+    // retries per pace window (the recovery audit's evidence).
+    let mut retried: Vec<u64> = vec![0; npop];
+    let windows = (config.horizon_ms / config.window_ms + 1) as usize;
+    let mut offered_by_window: Vec<u64> = vec![0; windows];
+    let mut retried_by_window: Vec<u64> = vec![0; windows];
     let mut violations: Vec<String> = Vec::new();
     let fixedpoint = FixedPointEncoder::default_for_updates();
 
@@ -980,6 +989,16 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                 // The check-in crosses the wire framed with its
                 // population; the Selector acts only on what it decoded.
                 checkins_sent[pop] += 1;
+                let window = (now / config.window_ms) as usize;
+                offered_by_window[window] += 1;
+                if devices[device as usize]
+                    .tenancy
+                    .lane(&names[pop])
+                    .is_some_and(|lane| lane.connectivity.consecutive_failures() > 0)
+                {
+                    retried[pop] += 1;
+                    retried_by_window[window] += 1;
+                }
                 let Some(WireMessage::CheckinRequest {
                     device: wired,
                     population: wired_pop,
@@ -994,7 +1013,9 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                     devices[device as usize].tenancy.finish_session();
                     continue;
                 };
-                let activity = config.arrival.map_or(1.0, |a| a.activity(now));
+                let activity = config
+                    .arrival
+                    .map_or(1.0, |a| a.activity(now, config.window_ms));
                 let selector = &mut selectors[(wired.0 % n) as usize];
                 let shed_before = selector.shed_total_for(&wired_pop);
                 match selector.on_checkin_for(&wired_pop, wired, now, activity) {
@@ -1179,14 +1200,12 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                     queue.schedule_in(config.window_ms, Event::WindowSample);
                 }
             }
-            Event::HerdWake { fraction } => {
+            Event::HerdWake => {
                 // The idle baseline fleet reconnects at once. The wake
-                // reaches each joining device through its lanes, so the
+                // reaches each device through its lanes, so the
                 // session still goes through the tenancy's arbitration.
                 for d in 0..config.devices {
-                    if devices[d as usize].phase == DevPhase::Idle
-                        && rng.random_range(0..1_000_000u64) < (fraction * 1e6) as u64
-                    {
+                    if devices[d as usize].phase == DevPhase::Idle {
                         for name in &names {
                             devices[d as usize].tenancy.pull_in(name, now);
                         }
@@ -1285,11 +1304,6 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                 .map(|s| s.counters_for(name))
                 .fold((0, 0), |(a, r), (sa, sr)| (a + sa, r + sr));
             let shed: u64 = selectors.iter().map(|s| s.shed_total_for(name)).sum();
-            let retries: u64 = devices
-                .iter()
-                .filter_map(|d| d.tenancy.lane(name))
-                .map(|l| l.connectivity.retries_total())
-                .sum();
             let budget_exhaustions: u64 = devices
                 .iter()
                 .filter_map(|d| d.tenancy.lane(name))
@@ -1309,7 +1323,7 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                     .as_ref()
                     .map(|b| b.shed_total_for(name))
                     .unwrap_or(0),
-                retries,
+                retried: retried[p],
                 budget_exhaustions,
                 rounds_started: counters[p].rounds_started,
                 rounds_terminal: counters[p].rounds_terminal,
@@ -1385,17 +1399,39 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
         }
     }
     // Recovery: after a herd or flash crowd the fleet-wide shed rate
-    // must settle within the budget.
+    // must settle within the budget. Under a fleet-wide fair-share budget
+    // the storm stays capped for as long as it over-demands, so the shed
+    // rate follows that cap binding on and off; there the fairness audits
+    // above are the invariant, and convergence is only reported.
     let onset_window = config.onset_ms().map(|at| (at / config.window_ms) as usize);
     let convergence_windows =
         onset_window.and_then(|w| shed_convergence(metrics.shed_fractions(), w, 0.15));
-    if onset_window.is_some() {
+    if let Some(onset) = onset_window {
         match convergence_windows {
+            _ if config.global_admission.is_some() => {}
             Some(w) if w <= CONVERGENCE_BUDGET_WINDOWS => {}
             Some(w) => violations.push(format!(
                 "shed rate took {w} windows to converge (budget {CONVERGENCE_BUDGET_WINDOWS})"
             )),
             None => violations.push("shed rate never converged".into()),
+        }
+        // A silent window closes at a shed fraction of 0, so convergence
+        // only means recovery while the fleet keeps checking in and the
+        // devices turned away at the onset come back on their retries.
+        let last = (config.horizon_ms.saturating_sub(1) / config.window_ms) as usize;
+        if let Some(w) = (onset + 1..=last).find(|&w| offered_by_window[w] == 0) {
+            violations.push(format!(
+                "window {w} after the onset saw no check-ins: the fleet went silent"
+            ));
+        }
+        let budget_end = (onset + CONVERGENCE_BUDGET_WINDOWS as usize).min(last);
+        if retried_by_window
+            .get(onset + 1..=budget_end)
+            .is_some_and(|after| after.iter().all(|&r| r == 0))
+        {
+            violations.push(format!(
+                "no device retried within {CONVERGENCE_BUDGET_WINDOWS} windows of the onset"
+            ));
         }
     }
 

@@ -14,7 +14,8 @@ const SEEDS: [u64; 4] = [3, 17, 29, 53];
 /// release gate: a synchronized reconnect of the entire idle fleet must
 /// keep the Selector queue under its configured bound, converge the shed
 /// rate within the window budget, and drive every started round to a
-/// terminal state with at least one commit.
+/// terminal state with at least one commit. Convergence must be recovery,
+/// not silence: the devices shed by the herd come back on their retries.
 #[test]
 fn fixed_seed_herd_sweep_is_clean() {
     let reports = sweep(&SEEDS, MultiTenantConfig::thundering_herd);
@@ -45,6 +46,12 @@ fn fixed_seed_herd_sweep_is_clean() {
             report.seed,
             report.render()
         );
+        assert!(
+            only.retried > 0,
+            "seed {} no shed device ever came back:\n{}",
+            report.seed,
+            report.render()
+        );
     }
     // The sweep must actually exercise the admission layer, not coast.
     let shed: u64 = reports.iter().map(|r| r.populations[0].shed).sum();
@@ -71,6 +78,12 @@ fn fixed_seed_flash_and_ramp_sweeps_are_clean() {
             assert!(
                 report.populations[0].committed >= 1,
                 "seed {} ({scenario}) never committed:\n{}",
+                report.seed,
+                report.render()
+            );
+            assert!(
+                report.populations[0].retried > 0,
+                "seed {} ({scenario}) no rejected device ever came back:\n{}",
                 report.seed,
                 report.render()
             );
